@@ -16,8 +16,7 @@ a replicate's path is the ordered product of those factors applied to u0 (the
 subset oracles in the hoeffding module decompose exactly this product).
 
 Also here: the closed-form conditional covariance of the linearized bootstrap
-statistic around v1, a single O(n d^2) pass in the eigenbasis, and discrepancy
-metrics against a reference covariance.
+statistic around v1, a single O(n d^2) pass in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -55,14 +54,6 @@ def ensemble_init(u0, m: int, eta_n: float, n: int) -> BootstrapEnsemble:
         replicates=np.tile(w, (m, 1)), prev_x=None, t=0, eta_n=float(eta_n), n=int(n))
 
 
-def multiplier_update(v, x_t, prev_x, eta: float, w: float) -> np.ndarray:
-    """One replicate's unnormalized update; the W part is odd in w, so its
-    conditional mean is the plain Oja increment."""
-    h = (v @ x_t) * x_t
-    g = (v @ prev_x) * prev_x
-    return v + eta * (h + w * (h - g))
-
-
 def ensemble_step(ens: BootstrapEnsemble, x_t, streams) -> BootstrapEnsemble:
     """Advance every replicate by one sample; streams has one entry per replicate."""
     x = np.asarray(x_t, dtype=float)
@@ -84,22 +75,6 @@ def ensemble_step(ens: BootstrapEnsemble, x_t, streams) -> BootstrapEnsemble:
     new /= np.linalg.norm(new, axis=1, keepdims=True)
     return BootstrapEnsemble(replicates=new, prev_x=x.copy(), t=ens.t + 1,
                              eta_n=ens.eta_n, n=ens.n)
-
-
-def run_bootstrap(data, u0, m: int, eta_n: float, streams) -> dict:
-    """One pass: plain Oja track plus m perturbed replicates on the same data.
-
-    Returns {"v_hat": final Oja vector, "errors": array of 1 - (v_hat . v*)^2}.
-    """
-    data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    ens = ensemble_init(u0, m, eta_n, n)
-    for i in range(n):
-        ens = ensemble_step(ens, data[i], streams)
-    v_hat = oja.run(data, n=n, eta_n=eta_n, u0=u0)
-    cos = ens.replicates @ v_hat
-    errors = np.clip(1.0 - cos * cos, 0.0, 1.0)
-    return {"v_hat": v_hat, "errors": errors}
 
 
 def bootstrap_covariance(data, model: SpectralModel, eta_n: float) -> np.ndarray:
@@ -126,18 +101,3 @@ def bootstrap_covariance(data, model: SpectralModel, eta_n: float) -> np.ndarray
     s = powers * c
     inner = (a * W_VARIANCE) * (s.T @ s)
     return linalg.sym(model.v_perp @ inner @ model.v_perp.T)
-
-
-def matrix_discrepancy(a, b) -> dict:
-    """Trace, Frobenius, and operator-norm gaps between two symmetric matrices."""
-    diff = linalg.sym(a) - linalg.sym(b)
-    return {
-        "trace_diff": abs(linalg.trace(diff)),
-        "frob_diff": linalg.frobenius_norm(diff),
-        "op_diff": linalg.operator_norm(diff),
-    }
-
-
-def covariance_discrepancy(data, model: SpectralModel, eta_n: float, reference) -> dict:
-    """Gap between the data's closed-form bootstrap covariance and reference.vbar."""
-    return matrix_discrepancy(bootstrap_covariance(data, model, eta_n), reference.vbar)

@@ -10,6 +10,8 @@ floats are serialized through repr, which keeps reruns byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +33,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the CLI maps this to exit code 2."""
 
 
+_INT_FIELDS = ("n", "d", "trials", "replicates", "mc_m_estimate", "mc_chisq", "master_seed")
+_REAL_FIELDS = ("beta", "c", "scale")
+
+
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 5000
@@ -48,6 +59,12 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            _require_finite(name, getattr(self, name))
         if self.n < 2 or self.d < 2:
             raise ConfigError("need n >= 2 and d >= 2")
         if self.trials < 1 or self.replicates < 1:
@@ -60,12 +77,15 @@ class ExperimentConfig:
             if self.eta_value is not None:
                 raise ConfigError("log_n rule takes no value")
         elif self.eta_rule == "fixed":
-            if self.eta_value is None or not self.eta_value > 0:
+            _require_finite("eta_rule.fixed", self.eta_value)
+            if not self.eta_value > 0:
                 raise ConfigError("fixed eta rule needs a positive value")
         else:
             raise ConfigError(f"unknown eta_rule {self.eta_rule!r}")
         if self.scale <= 0 or self.c < 0:
             raise ConfigError("need scale > 0 and c >= 0")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @property
     def eta_n(self) -> float:
@@ -106,7 +126,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if isinstance(rule, str):
         kwargs["eta_rule"], kwargs["eta_value"] = rule, None
     elif isinstance(rule, dict) and set(rule) == {"fixed"}:
-        kwargs["eta_rule"], kwargs["eta_value"] = "fixed", float(rule["fixed"])
+        kwargs["eta_rule"], kwargs["eta_value"] = "fixed", rule["fixed"]
     else:
         raise ConfigError("eta_rule must be \"log_n\" or {\"fixed\": value}")
     try:

@@ -18,12 +18,13 @@ is no sample before it (first-step convention, shared with the bootstrap
 module).
 
 These builders are ground truth for tests and the verify suite: exactness, not
-scale, is the point. Enumeration is hard-capped at n = 20. In float64 the subset
-terms can cancel by a factor of 1e6 or more (sum_S ||H(S)|| against ||B_n||),
-so `hoeffding_sum` and `direct_product` also take exact=True. Then they
-evaluate in rational arithmetic (fractions.Fraction) and return object arrays of
-rationals. A float is a dyadic rational, so the inputs convert without loss and
-sum_S H(S) equals B_n with no rounding at all.
+scale, is the point. Enumeration is capped at 2^n <= 10^6 subsets
+(model.ENUMERATION_CAP), so n <= 19. In float64 the subset terms can cancel by
+a factor of 1e6 or more (sum_S ||H(S)|| against ||B_n||), so `hoeffding_sum`
+and `direct_product` also take exact=True. Then they evaluate in rational
+arithmetic (fractions.Fraction) and return object arrays of rationals. A float
+is a dyadic rational, so the inputs convert without loss and sum_S H(S) equals
+B_n with no rounding at all.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .model import DiscreteSpec, SpectralModel, enumerate_outcomes
-
-ENUMERATION_MAX_N = 20
+from .model import ENUMERATION_CAP, DiscreteSpec, SpectralModel, enumerate_outcomes
 
 
 def ordered_product(factors) -> np.ndarray:
@@ -150,8 +149,10 @@ def hoeffding_term(spec: SubsetTermSpec) -> np.ndarray:
 
 
 def _check_enumeration_size(n: int):
-    if n > ENUMERATION_MAX_N or 2**n > 10**6:
-        raise ValueError(f"subset enumeration capped at n = {ENUMERATION_MAX_N}, got {n}")
+    # 2^n subsets; the largest n under the cap is floor(log2 cap), 19 for 10^6
+    if 2**n > ENUMERATION_CAP:
+        raise ValueError(f"subset enumeration capped at n = {ENUMERATION_CAP.bit_length() - 1} "
+                         f"(2^n <= {ENUMERATION_CAP}), got {n}")
 
 
 def hoeffding_sum(data, sigma, eta_n: float, exact: bool = False):

@@ -1,11 +1,14 @@
-"""Dense symmetric linear algebra: Jacobi eigendecomposition, PSD square root, norms.
+"""Dense symmetric linear algebra: eigendecomposition, PSD square root, norms.
 
 Everything downstream (covariance models, the reference distribution, the
-bootstrap covariance) goes through this module, so the conventions are pinned
-here once: symmetric matrices are symmetrized by averaging on construction,
-eigenvalues come back sorted descending, and eigenvector signs follow a fixed
-convention (the entry of largest absolute value is nonnegative, ties broken by
-lowest index) so decompositions are reproducible bit-for-bit.
+bootstrap covariance) takes its spectra from `eigh` here, the package's one
+eigen path: LAPACK through numpy.linalg.eigh. The conventions are pinned once:
+symmetric matrices are symmetrized by averaging on construction, eigenvalues
+come back sorted descending, and eigenvector signs follow a fixed convention
+(the entry of largest absolute value is nonnegative, ties broken by lowest
+index). A decomposition is therefore a pure function of the input for a fixed
+LAPACK build and BLAS thread count; the thread count can move the last digits
+of large problems.
 """
 
 from __future__ import annotations
@@ -13,24 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-MAX_DIM = 2000
-
-# Jacobi sweep controls: converged when the off-diagonal Frobenius mass drops
-# below _OFFDIAG_RTOL times the Frobenius norm of the input.
-_SWEEP_BUDGET = 100
-_OFFDIAG_RTOL = 1e-12
-
-
-class EighConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass went under tolerance."""
-
-    def __init__(self, residual: float, budget: int):
-        super().__init__(
-            f"jacobi eigensolver did not converge in {budget} sweeps "
-            f"(off-diagonal Frobenius residual {residual:.3e})"
-        )
-        self.residual = residual
 
 
 class NotPsdError(ValueError):
@@ -79,88 +64,25 @@ def _fix_signs(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def eigh(a, sweeps: int = _SWEEP_BUDGET) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh(a) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Threshold pivoting: early sweeps skip pivots below a mass-derived
-    threshold, later sweeps rotate every nonzero pivot. Deterministic for a
-    fixed input.
+    The ascending LAPACK order is reversed by a stable sort, so equal
+    eigenvalues keep LAPACK's relative order, and the signs are then fixed.
     """
-    a = sym(a)
-    d = a.shape[0]
-    if d > MAX_DIM:
-        raise ValueError(f"dim {d} exceeds supported maximum {MAX_DIM}")
-
-    norm_a = float(np.linalg.norm(a))
-    tol = _OFFDIAG_RTOL * norm_a
-    q = np.eye(d)
-
-    def offdiag_mass() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    residual = offdiag_mass()
-    done = residual <= tol
-    for sweep in range(sweeps):
-        if done:
-            break
-        # Threshold for this sweep: generous for the first few passes so tiny
-        # pivots are not chased while large mass remains, then zero.
-        if sweep < 3:
-            tresh = 0.2 * np.sum(np.abs(a - np.diag(np.diag(a)))) / (d * d)
-        else:
-            tresh = 0.0
-        for p in range(d - 1):
-            for r in range(p + 1, d):
-                apq = a[p, r]
-                if apq == 0.0 or abs(apq) <= tresh:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # Two-sided rotation in the (p, r) plane, columns then rows.
-                ap = a[:, p].copy()
-                aq = a[:, r].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, r] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[r, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[r, :] = s * ap + c * aq
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                qp = q[:, p].copy()
-                qq = q[:, r].copy()
-                q[:, p] = c * qp - s * qq
-                q[:, r] = s * qp + c * qq
-        residual = offdiag_mass()
-        done = residual <= tol
-    if not done:
-        raise EighConvergenceError(residual, sweeps)
-
-    vals = np.diag(a).copy()
+    vals, q = np.linalg.eigh(sym(a))
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    q = _fix_signs(q[:, order])
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=q)
+    return EigenDecomposition(eigenvalues=vals[order], eigenvectors=_fix_signs(q[:, order]))
 
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-def trace(a) -> float:
-    return float(np.trace(np.asarray(a, dtype=float)))
-
-
 def operator_norm(a) -> float:
     """Largest |eigenvalue| of a symmetric matrix."""
-    dec = eigh(a)
-    return float(np.max(np.abs(dec.eigenvalues))) if dec.dim else 0.0
+    vals = np.linalg.eigvalsh(sym(a))
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def sqrt_psd(a, dec: EigenDecomposition | None = None) -> np.ndarray:

@@ -13,7 +13,6 @@ sqrt 3) coordinates (mean zero, identity second moment), so E[X X^T] = Sigma.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,22 +180,3 @@ def enumerate_outcomes(spec: DiscreteSpec, n: int):
     for combo in itertools.product(range(s), repeat=n):
         idx = np.fromiter(combo, dtype=int, count=n)
         yield spec.support[idx], float(np.prod(spec.probs[idx]))
-
-
-def diagnostics(model: SpectralModel, stream: RngStream, n_samples: int) -> dict:
-    """Monte Carlo scale diagnostics of the sampling law.
-
-    M_d_hat estimates the mean squared operator norm of X X^T - Sigma;
-    alpha_n is the largest squared sample norm seen over the draws.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    xs = sample_x(model, stream, size=n_samples)
-    m_d = 0.0
-    for i in range(n_samples):
-        dev = np.outer(xs[i], xs[i]) - model.sigma
-        m_d += linalg.operator_norm(dev) ** 2
-    return {
-        "M_d_hat": m_d / n_samples,
-        "alpha_n": float(np.max(np.sum(xs * xs, axis=1))),
-    }

@@ -13,7 +13,6 @@ product. The default rate rule is eta_n = log n, overridable everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,35 +29,6 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if nrm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / nrm
-
-
-@dataclass
-class OjaState:
-    """Unit-norm iterate with its step counter and rate schedule."""
-
-    w: np.ndarray
-    t: int
-    eta_n: float
-    n: int
-
-
-def init(u0, eta_n: float, n: int) -> OjaState:
-    if eta_n <= 0:
-        raise ValueError("eta_n must be > 0")
-    if n < 0:
-        raise ValueError("horizon n must be >= 0")
-    return OjaState(w=normalize(u0), t=0, eta_n=float(eta_n), n=int(n))
-
-
-def step(state: OjaState, x) -> OjaState:
-    if state.t >= state.n:
-        raise ValueError(f"horizon exhausted (t = {state.t}, n = {state.n})")
-    x = np.asarray(x, dtype=float)
-    if x.shape != state.w.shape:
-        raise ValueError(f"sample dim {x.shape} does not match state dim {state.w.shape}")
-    eta = state.eta_n / state.n
-    w = state.w + eta * (state.w @ x) * x
-    return OjaState(w=normalize(w), t=state.t + 1, eta_n=state.eta_n, n=state.n)
 
 
 def run(source, n: int, eta_n: float, u0) -> np.ndarray:

@@ -84,15 +84,3 @@ class RngStream:
 
 def derive_stream(master_seed: int, path=()) -> RngStream:
     return RngStream(master_seed, path)
-
-
-def normal(stream: RngStream, mean: float, variance: float, size=None):
-    return stream.normal(mean, variance, size)
-
-
-def uniform_sym(stream: RngStream, size=None):
-    return stream.uniform_sym(size)
-
-
-def chisq1(stream: RngStream, size=None):
-    return stream.chisq1(size)

@@ -44,10 +44,6 @@ def ecdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
 
 
-def quantile(f: EmpiricalCdf, p: float) -> float:
-    return f.quantile(p)
-
-
 def kolmogorov_distance(f: EmpiricalCdf, g: EmpiricalCdf) -> float:
     """sup_t |F(t) - G(t)| over the pooled jump points, both one-sided limits."""
     points = np.union1d(f.sorted_samples, g.sorted_samples)

@@ -44,6 +44,20 @@ class TestExitCodes:
         p.write_text(json.dumps({"n": 1}))
         assert cli.main(["verify", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 50.5), ("d", 4.0), ("trials", True), ("replicates", 5.0),
+        ("mc_m_estimate", "800"), ("mc_chisq", None), ("master_seed", 3.0),
+        ("beta", float("inf")), ("c", float("-inf")), ("scale", float("nan")),
+        ("eta_rule", {"fixed": float("nan")}), ("output_dir", 5),
+    ])
+    def test_mistyped_or_nonfinite_field_is_config_error(self, config_path, capsys,
+                                                         field, value):
+        raw = json.loads(config_path.read_text())
+        raw[field] = value
+        config_path.write_text(json.dumps(raw))
+        assert cli.main(["reference", "--config", str(config_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_negative_seed_is_config_error(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path), "--seed", "-4"]) == 2
 

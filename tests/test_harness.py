@@ -128,10 +128,14 @@ class TestBootstrapExperiment:
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
+        ens = bootstrap.ensemble_init(u0, 5, cfg.eta_n, cfg.n)
         streams = [cfg.stream("w", i) for i in range(5)]
-        direct = bootstrap.run_bootstrap(data, u0, 5, cfg.eta_n, streams)
-        np.testing.assert_allclose(res["errors"], direct["errors"], atol=1e-15)
-        np.testing.assert_allclose(res["v_hat"], direct["v_hat"], atol=1e-15)
+        for x in data:
+            ens = bootstrap.ensemble_step(ens, x, streams)
+        v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
+        errors = np.clip(1.0 - (ens.replicates @ v_hat) ** 2, 0.0, 1.0)
+        np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
+        np.testing.assert_allclose(res["v_hat"], v_hat, atol=1e-15)
 
     def test_block_boundary_is_invisible(self):
         # more replicates than one block; values still per-replicate streams
@@ -140,9 +144,14 @@ class TestBootstrapExperiment:
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
+        # one unsharded ensemble over all 70 replicates
+        ens = bootstrap.ensemble_init(u0, 70, cfg.eta_n, cfg.n)
         streams = [cfg.stream("w", i) for i in range(70)]
-        direct = bootstrap.run_bootstrap(data, u0, 70, cfg.eta_n, streams)
-        np.testing.assert_allclose(res["errors"], direct["errors"], atol=1e-15)
+        for x in data:
+            ens = bootstrap.ensemble_step(ens, x, streams)
+        v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
+        errors = np.clip(1.0 - (ens.replicates @ v_hat) ** 2, 0.0, 1.0)
+        np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
 
     def test_deterministic_across_threads(self):
         a = harness.run_bootstrap_experiment(tiny_config(replicates=20), threads=1)

@@ -128,6 +128,9 @@ class TestHoeffdingSum:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="capped"):
             hoeffding.hoeffding_sum(np.zeros((21, 2)), np.eye(2), 1.0)
+        # 2^20 > 10^6 subsets, so 19 is the largest n the cap admits
+        with pytest.raises(ValueError, match=r"capped at n = 19 .*got 20"):
+            hoeffding.hoeffding_sum(np.zeros((20, 2)), np.eye(2), 1.0)
 
 
 class TestBootstrapHoeffding:

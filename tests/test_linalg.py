@@ -1,7 +1,9 @@
 """Eigendecomposition, PSD square root, and norm contracts.
 
-numpy.linalg is used here as an independent oracle for the Jacobi solver;
-the package itself never calls it for eigenproblems.
+The package's eigensolver is numpy.linalg.eigh (LAPACK), so comparing against
+numpy only checks the ordering and sign conventions layered on top. The
+independent checks are reconstruction, orthonormality, closed forms and power
+iteration.
 """
 
 import numpy as np
@@ -114,16 +116,6 @@ class TestEigh:
         recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         assert np.linalg.norm(recon - linalg.sym(a)) <= 1e-10 * max(1.0, np.linalg.norm(a))
 
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            linalg.eigh(np.eye(linalg.MAX_DIM + 1))
-
-    def test_sweep_exhaustion_reports_residual(self):
-        a = [[2.0, 1.0], [1.0, 2.0]]
-        with pytest.raises(linalg.EighConvergenceError) as err:
-            linalg.eigh(a, sweeps=0)
-        assert err.value.residual > 0
-
 
 class TestSqrtPsd:
     def test_identity(self):
@@ -160,21 +152,22 @@ class TestSqrtPsd:
 class TestNorms:
     def test_identity_d4(self):
         a = np.eye(4)
-        assert linalg.trace(a) == 4.0
         assert linalg.frobenius_norm(a) == 2.0
         assert linalg.operator_norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero(self):
         a = np.zeros((3, 3))
-        assert linalg.trace(a) == 0.0
         assert linalg.frobenius_norm(a) == 0.0
         assert linalg.operator_norm(a) == 0.0
 
     def test_diag_with_negative(self):
         a = np.diag([3.0, -1.0])
         assert linalg.operator_norm(a) == pytest.approx(3.0, abs=1e-12)
-        assert linalg.trace(a) == 2.0
         assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(10.0))
+
+    def test_operator_norm_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            linalg.operator_norm([[1.0, np.inf], [np.inf, 1.0]])
 
     @pytest.mark.parametrize("d", [4, 12, 30])
     def test_operator_norm_vs_power_iteration(self, d):

@@ -170,26 +170,3 @@ class TestEnumerateOutcomes:
         spec = rademacher_e1()
         with pytest.raises(ValueError, match="cap"):
             list(model.enumerate_outcomes(spec, 21))
-
-
-class TestDiagnostics:
-    def test_zero_variance_discrete(self):
-        m = model.spectral_decompose(rademacher_e1())
-        s = randgen.derive_stream(5, ("diag",))
-        out = model.diagnostics(m, s, 200)
-        assert out["M_d_hat"] == pytest.approx(0.0, abs=1e-20)
-        assert out["alpha_n"] == pytest.approx(1.0)
-
-    def test_uniform_d1_fourth_moment(self):
-        # E (Z^2 - 1)^2 = E Z^4 - 1 = 9/5 - 1 = 4/5
-        m = model.spectral_decompose(model.ExplicitSpec(np.eye(1)))
-        s = randgen.derive_stream(6, ("diag1",))
-        out = model.diagnostics(m, s, 20000)
-        assert out["M_d_hat"] == pytest.approx(0.8, abs=0.03)
-
-    def test_alpha_monotone_in_prefix(self):
-        spec = model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0)
-        m = model.spectral_decompose(spec)
-        a100 = model.diagnostics(m, randgen.derive_stream(7, ("mono",)), 100)["alpha_n"]
-        a300 = model.diagnostics(m, randgen.derive_stream(7, ("mono",)), 300)["alpha_n"]
-        assert a300 >= a100

@@ -8,59 +8,54 @@ from ojaboot import hoeffding, model, oja, randgen
 
 class TestInit:
     def test_normalizes(self):
-        st = oja.init([3.0, 4.0], eta_n=1.0, n=10)
-        np.testing.assert_allclose(st.w, [0.6, 0.8])
-        assert st.t == 0
+        np.testing.assert_allclose(oja.normalize([3.0, 4.0]), [0.6, 0.8])
 
     def test_unit_vector_unchanged(self):
-        st = oja.init([1.0, 0.0], eta_n=1.0, n=1)
-        np.testing.assert_allclose(st.w, [1.0, 0.0])
+        np.testing.assert_allclose(oja.normalize([1.0, 0.0]), [1.0, 0.0])
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            oja.init([0.0, 0.0], eta_n=1.0, n=1)
+            oja.normalize([0.0, 0.0])
+        with pytest.raises(ValueError):
+            oja.run(np.ones((1, 2)), n=1, eta_n=1.0, u0=[0.0, 0.0])
 
     def test_u0_from_stream_reproducible(self):
         g1 = randgen.derive_stream(11, ("u0",)).normal(0.0, 1.0, 6)
         g2 = randgen.derive_stream(11, ("u0",)).normal(0.0, 1.0, 6)
-        np.testing.assert_array_equal(oja.init(g1, 1.0, 5).w, oja.init(g2, 1.0, 5).w)
+        np.testing.assert_array_equal(oja.normalize(g1), oja.normalize(g2))
 
 
 class TestStep:
+    # one-sample runs: n = 1, so eta_n is the step size eta itself
     def test_aligned_sample_keeps_direction(self):
-        st = oja.init([1.0, 0.0], eta_n=2.0, n=4)
-        st = oja.step(st, [1.0, 0.0])
-        np.testing.assert_allclose(st.w, [1.0, 0.0])
-        assert st.t == 1
+        w = oja.run(np.array([[1.0, 0.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
+        np.testing.assert_allclose(w, [1.0, 0.0])
 
     def test_orthogonal_sample_is_noop(self):
-        st = oja.init([1.0, 0.0], eta_n=2.0, n=4)
-        st = oja.step(st, [0.0, 1.0])
-        np.testing.assert_allclose(st.w, [1.0, 0.0])
+        w = oja.run(np.array([[0.0, 1.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
+        np.testing.assert_allclose(w, [1.0, 0.0])
 
     def test_hand_evaluated_update(self):
         # eta = 0.5, w = e1, x = (1,1): unnormalized (1.5, 0.5)
-        st = oja.init([1.0, 0.0], eta_n=1.0, n=2)
-        st = oja.step(st, [1.0, 1.0])
+        w = oja.run(np.array([[1.0, 1.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
         expected = np.array([1.5, 0.5]) / np.sqrt(2.5)
-        np.testing.assert_allclose(st.w, expected, atol=1e-15)
-        np.testing.assert_allclose(st.w, [0.9487, 0.3162], atol=5e-5)
+        np.testing.assert_allclose(w, expected, atol=1e-15)
+        np.testing.assert_allclose(w, [0.9487, 0.3162], atol=5e-5)
 
     def test_unit_norm_invariant(self):
+        # every prefix of a 100-step pass at eta = 0.03
         rng = np.random.default_rng(2)
-        st = oja.init(rng.standard_normal(5), eta_n=3.0, n=100)
-        for _ in range(100):
-            st = oja.step(st, rng.standard_normal(5))
-            assert abs(np.linalg.norm(st.w) - 1.0) <= 1e-12
+        u0 = rng.standard_normal(5)
+        data = rng.standard_normal((100, 5))
+        for k in range(1, 101):
+            w = oja.run(data[:k], n=k, eta_n=0.03 * k, u0=u0)
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
     def test_horizon_and_dim_errors(self):
-        st = oja.init([1.0, 0.0], eta_n=1.0, n=1)
-        st = oja.step(st, [0.5, 0.5])
-        with pytest.raises(ValueError, match="horizon"):
-            oja.step(st, [0.5, 0.5])
-        fresh = oja.init([1.0, 0.0], eta_n=1.0, n=2)
-        with pytest.raises(ValueError, match="dim"):
-            oja.step(fresh, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="need 2"):
+            oja.run(np.array([[0.5, 0.5]]), n=2, eta_n=1.0, u0=[1.0, 0.0])
+        with pytest.raises(ValueError):
+            oja.run(np.array([[1.0, 0.0, 0.0]]), n=1, eta_n=1.0, u0=[1.0, 0.0])
 
 
 class TestRun:

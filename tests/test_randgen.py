@@ -48,12 +48,12 @@ class TestDeriveStream:
 class TestNormal:
     def test_zero_variance_returns_mean(self):
         s = randgen.derive_stream(0, ())
-        assert randgen.normal(s, 5.0, 0.0) == 5.0
+        assert s.normal(5.0, 0.0) == 5.0
 
     def test_negative_variance_rejected(self):
         s = randgen.derive_stream(0, ())
         with pytest.raises(ValueError):
-            randgen.normal(s, 0.0, -1.0)
+            s.normal(0.0, -1.0)
 
     def test_standard_normal_moments(self):
         s = randgen.derive_stream(2024, ("normal-moments",))

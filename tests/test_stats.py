@@ -59,12 +59,12 @@ class TestEcdf:
 class TestQuantile:
     def test_inverse_cdf_definition(self):
         f = stats.ecdf([1.0, 2.0, 3.0, 4.0])
-        assert stats.quantile(f, 0.5) == 2.0
+        assert f.quantile(0.5) == 2.0
 
     def test_boundaries(self):
         f = stats.ecdf([3.0, 1.0, 2.0])
-        assert stats.quantile(f, 1.0) == 3.0
-        assert stats.quantile(f, 0.0) == 1.0
+        assert f.quantile(1.0) == 3.0
+        assert f.quantile(0.0) == 1.0
 
     def test_order_statistic_round_trip(self):
         rng = np.random.default_rng(1)
@@ -72,14 +72,14 @@ class TestQuantile:
         f = stats.ecdf(x)
         srt = np.sort(x)
         for k in range(1, 38):
-            assert stats.quantile(f, k / 37) == srt[k - 1]
+            assert f.quantile(k / 37) == srt[k - 1]
 
     def test_rejects_out_of_range(self):
         f = stats.ecdf([1.0])
         with pytest.raises(ValueError):
-            stats.quantile(f, -0.1)
+            f.quantile(-0.1)
         with pytest.raises(ValueError):
-            stats.quantile(f, 1.1)
+            f.quantile(1.1)
 
 
 class TestKolmogorovDistance:
