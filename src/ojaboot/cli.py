@@ -17,7 +17,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=1, help="parallel map width")
+    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,8 +43,8 @@ def _out_dir(config: harness.ExperimentConfig) -> Path:
     return out
 
 
-def _cmd_sampling(config, threads) -> int:
-    res = harness.run_sampling_experiment(config, threads)
+def _cmd_sampling(config) -> int:
+    res = harness.run_sampling_experiment(config)
     out = _out_dir(config)
     harness.write_cdf_csv(out / "sampling_cdf.csv", res["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", res["scaled_cdf"])
@@ -53,8 +53,8 @@ def _cmd_sampling(config, threads) -> int:
     return 0
 
 
-def _cmd_bootstrap(config, threads) -> int:
-    res = harness.run_bootstrap_experiment(config, threads)
+def _cmd_bootstrap(config) -> int:
+    res = harness.run_bootstrap_experiment(config)
     out = _out_dir(config)
     harness.write_cdf_csv(out / "bootstrap_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "bootstrap_summary.json", config,
@@ -62,7 +62,7 @@ def _cmd_bootstrap(config, threads) -> int:
     return 0
 
 
-def _cmd_reference(config, threads) -> int:
+def _cmd_reference(config) -> int:
     res = harness.run_reference(config)
     out = _out_dir(config)
     summary = res["reference"].summary()
@@ -75,9 +75,9 @@ def _cmd_reference(config, threads) -> int:
     return 0
 
 
-def _cmd_compare(config, threads) -> int:
-    sampling = harness.run_sampling_experiment(config, threads)
-    boot = harness.run_bootstrap_experiment(config, threads)
+def _cmd_compare(config) -> int:
+    sampling = harness.run_sampling_experiment(config)
+    boot = harness.run_bootstrap_experiment(config)
     out = _out_dir(config)
     harness.write_cdf_csv(out / "sampling_cdf.csv", sampling["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", sampling["scaled_cdf"])
@@ -89,7 +89,7 @@ def _cmd_compare(config, threads) -> int:
     return 0
 
 
-def _cmd_verify(config, threads) -> int:
+def _cmd_verify(config) -> int:
     report = harness.verify(config)
     out = _out_dir(config)
     harness.write_summary_json(out / "verify_report.json", config,
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](config, args.threads)
+    return _COMMANDS[args.command](config)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Experiment orchestration: sampling runs, bootstrap runs, reference law,
 comparison artifacts, and the self-verification suite.
 
-Every random consumer owns a substream derived from (master_seed, path), so
-any output file is a pure function of the config regardless of how many
-threads execute the trial map. Aggregation is always in unit-index order and
-floats are serialized through repr, which keeps reruns byte-identical.
+Every random consumer owns a substream derived from (master_seed, path), and
+blocks and time chunks have fixed sizes, so any output file is a pure function
+of the config. Aggregation is always in unit-index order and floats are
+serialized through repr, which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +19,11 @@ import numpy as np
 
 from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stats
 
-# replicate blocks are fixed-size so shard boundaries never depend on threads
-_REPLICATE_BLOCK = 64
+# Passes advance _BLOCK rows through _CHUNK steps at a time: a sampling chunk (4096
+# rows) stays below one trial's data at n = 5000, and a multiple of 4 keeps OpenBLAS's
+# 4-row matrix-vector grouping, so no replicate's rounding depends on block ends.
+_BLOCK = 64
+_CHUNK = 64
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
 
@@ -152,31 +154,37 @@ def load_config(path=None, seed=None, out=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _parallel_map(fn, units, threads: int):
-    units = list(units)
-    if threads <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, units))
-
-
 def draw_u0(config: ExperimentConfig) -> np.ndarray:
     return oja.normalize(config.stream("u0").normal(0.0, 1.0, config.d))
 
 
+def _blocked_pass(config: ExperimentConfig, u0, label: str, count: int, chunk) -> np.ndarray:
+    """The (count, d) final iterates of passes from u0, _BLOCK rows at a time.
+    Row i owns the stream (label, i); chunk(streams, lo, hi) gives the samples,
+    multipliers and previous sample of steps lo..hi-1 for a block's streams."""
+    blocks = []
+    for first in range(0, count, _BLOCK):
+        streams = [config.stream(label, i) for i in range(first, min(first + _BLOCK, count))]
+        w = oja.start(u0, len(streams))
+        for lo in range(0, config.n, _CHUNK):
+            x, mult, prev = chunk(streams, lo, min(lo + _CHUNK, config.n))
+            w = oja.advance(w, x, config.eta_n / config.n, mult, prev)
+        blocks.append(w)
+    return np.vstack(blocks)
+
+
 def run_sampling_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
-    """Fixed u0, `trials` fresh datasets, one Oja pass each; errors vs true v1."""
+    """Fixed u0, `trials` fresh datasets, one Oja pass each; errors vs true v1.
+    A trial draws its rows chunk by chunk from its own ("trial", j) stream,
+    the same rows as one bulk draw. `threads` has no effect."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
-    eta = config.eta_n
 
-    def one_trial(j: int) -> float:
-        data = model.sample_x(mdl, config.stream("trial", j), config.n)
-        v_hat = oja.run(data, config.n, eta, u0)
-        return oja.sin2(v_hat, mdl.v1)
-
-    errors = np.array(_parallel_map(one_trial, range(config.trials), threads))
-    scaled = (config.n / eta) * errors
+    def chunk(streams, lo, hi):
+        return np.stack([model.sample_x(mdl, s, hi - lo) for s in streams]), None, None
+    w = _blocked_pass(config, u0, "trial", config.trials, chunk)
+    errors = np.array([oja.sin2(row, mdl.v1) for row in w])
+    scaled = (config.n / config.eta_n) * errors
     return {
         "cdf": stats.ecdf(errors),
         "samples": errors,
@@ -191,25 +199,17 @@ def run_sampling_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
 
 def run_bootstrap_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """One dataset, m multiplier-perturbed replicate chains, errors vs the
-    unperturbed estimate. Replicates shard into fixed blocks whose multiplier
-    streams are per-replicate, so the numbers are schedule-independent."""
+    unperturbed estimate. Replicate i draws its multipliers from its own
+    ("w", i) stream. `threads` has no effect."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
-    eta = config.eta_n
     data = model.sample_x(mdl, config.stream("data", 0), config.n)
-    v_hat = oja.run(data, config.n, eta, u0)
-    streams = [config.stream("w", i) for i in range(config.replicates)]
+    v_hat = oja.run(data, config.n, config.eta_n, u0)
 
-    def one_block(block: range) -> np.ndarray:
-        ens = bootstrap.ensemble_init(u0, len(block), eta, config.n)
-        chunk = [streams[i] for i in block]
-        for x in data:
-            ens = bootstrap.ensemble_step(ens, x, chunk)
-        return ens.replicates
-
-    blocks = [range(i, min(i + _REPLICATE_BLOCK, config.replicates))
-              for i in range(0, config.replicates, _REPLICATE_BLOCK)]
-    replicates = np.vstack(_parallel_map(one_block, blocks, threads))
+    def chunk(streams, lo, hi):
+        return (data[lo:hi], bootstrap.draw_multipliers(streams, lo, hi),
+                data[lo - 1] if lo else None)
+    replicates = _blocked_pass(config, u0, "w", config.replicates, chunk)
     errors = np.clip(1.0 - (replicates @ v_hat) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
     return {

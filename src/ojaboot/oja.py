@@ -8,19 +8,16 @@ The update is linear in w (it is (I + eta x x^T) w), so normalizing every step
 only rescales and never changes the direction; we renormalize every step to
 keep ‖w‖ = 1 and avoid the (1 + eta_n lambda1 / n)^n growth of the raw
 product. The default rate rule is eta_n = log n, overridable everywhere.
+`advance`, the one streaming kernel, moves a block of iterates through a chunk
+of samples, with the `bootstrap` multiplier update when given multipliers;
+`run` is its one-row call.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linalg import check_vector
-
-
-def default_eta_n(n: int) -> float:
-    return math.log(n)
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -31,25 +28,64 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def start(u0, m: int) -> np.ndarray:
+    """An (m, d) block of m copies of the normalized u0."""
+    if m < 1:
+        raise ValueError("need at least one iterate")
+    return np.tile(normalize(u0), (m, 1))
+
+
+def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
+    """The (m, d) block w (left unmodified) after one time chunk of samples x:
+    (T, d) shared by all rows or (m, T, d) per row. mult is the rows' (m, T)
+    multipliers or None for plain Oja; prev is the sample before the chunk, or
+    None at the start of the pass, whose first step is plain Oja."""
+    w = np.array(w, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shared = x.ndim == 2
+    if (w.ndim != 2 or w.shape[0] < 1 or x.ndim not in (2, 3) or x.shape[-1] != w.shape[1]
+            or not shared and x.shape[0] != w.shape[0]):
+        raise ValueError(f"samples of shape {x.shape} do not fit a block of shape {w.shape}")
+    m, steps = w.shape[0], x.shape[-2]
+    mult = None if mult is None else np.asarray(mult, dtype=float)
+    prev = None if prev is None else np.asarray(prev, dtype=float)
+    if mult is not None and mult.shape != (m, steps):
+        raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
+
+    def dots(a, b):
+        # a shared sample: one matrix-vector product; per row: vector dots a_i @ b_i
+        return a @ b if b.ndim == 1 else (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    for t in range(steps):
+        xt = x[..., t, :]
+        h = dots(w, xt)
+        if mult is None or prev is None:
+            w += eta * h[:, None] * xt
+        else:
+            wt = mult[:, t]
+            g = dots(w, prev)
+            w += eta * ((1.0 + wt) * h)[:, None] * xt
+            w -= eta * (wt * g)[:, None] * prev
+        # Shared blocks of several rows round as np.linalg.norm(w, axis=1), which pins
+        # the bootstrap's bytes; other rows as np.linalg.norm of the row, as `run` does.
+        sq = (w * w).sum(axis=1) if shared and m > 1 else dots(w, w)
+        w /= np.sqrt(sq)[:, None]
+        prev = xt
+    return w
+
+
 def run(source, n: int, eta_n: float, u0) -> np.ndarray:
     """Consume n samples from `source` (an (n, d) array or iterable of vectors)."""
     w = normalize(u0)
     if n == 0:
         return w
-    eta = eta_n / n
-    if isinstance(source, np.ndarray):
-        if source.shape[0] < n:
-            raise ValueError(f"source has {source.shape[0]} rows, need {n}")
-        rows = source
-    else:
-        rows = list(source)
-        if len(rows) < n:
-            raise ValueError(f"source yielded {len(rows)} vectors, need {n}")
-    for i in range(n):
-        x = rows[i]
-        w = w + eta * (w @ x) * x
-        w /= np.linalg.norm(w)
-    return w
+    rows = source if isinstance(source, np.ndarray) else list(source)
+    if len(rows) < n:
+        raise ValueError(f"source has {len(rows)} rows, need {n}")
+    for i, row in enumerate(rows[:n]):
+        if np.shape(row) != w.shape:
+            raise ValueError(f"row {i} has dimension {np.shape(row)}, u0 has dimension {w.size}")
+    return advance(w[None, :], np.asarray(rows[:n], dtype=float), eta_n / n)[0]
 
 
 def sin2(u, v) -> float:

@@ -22,7 +22,8 @@ GRID_POINTS_DEFAULT = 200
 
 # |1 - r| below this switches the geometric sum to its n-term limit
 _TIE_TOL = 1e-12
-# an eigenvalue below -1e-8 * op-norm means the matrix is not PSD
+# an eigenvalue below -1e-8 * op-norm means the matrix is not PSD, and a
+# weight below +1e-8 * the largest is roundoff that draws no chi-square column
 _WEIGHT_FLOOR_RTOL = 1e-8
 # constructor clamps weights in [-1e-12, 0) to zero, rejects below
 _WEIGHT_CLAMP = 1e-12
@@ -189,7 +190,7 @@ def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
     """n_mc independent draws of the weighted chi-square law."""
     if n_mc < 1:
         raise ValueError("need n_mc >= 1")
-    pos = w.weights[w.weights > 0.0]
+    pos = w.weights[w.weights > _WEIGHT_FLOOR_RTOL * w.weights[0]]
     if pos.size == 0:
         return np.zeros(n_mc)
     return stream.chisq1((n_mc, pos.size)) @ pos

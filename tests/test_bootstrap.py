@@ -1,25 +1,10 @@
-"""Multiplier-bootstrap ensemble semantics and the closed-form covariance."""
+"""Multiplier-bootstrap replicate semantics (the multiplier update of oja.advance and
+the multiplier draws) and the closed-form covariance."""
 
 import numpy as np
 import pytest
 
 from ojaboot import bootstrap, hoeffding, model, oja, randgen, reference
-
-
-class StubStream:
-    """Deterministic stand-in for RngStream: every normal() is `value`."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def normal(self, mean, variance, size=None):
-        assert variance >= 0
-        return self.value
-
-
-class RaisingStream:
-    def normal(self, *args, **kwargs):
-        raise AssertionError("multiplier drawn where none should be")
 
 
 def scalar_update(v, x_t, prev_x, eta, w):
@@ -31,11 +16,11 @@ def scalar_update(v, x_t, prev_x, eta, w):
 
 def replicate_errors(data, u0, m, eta_n, streams):
     """(v_hat, sin^2 of each replicate against v_hat) from one shared pass."""
-    ens = bootstrap.ensemble_init(u0, m, eta_n, data.shape[0])
-    for x in data:
-        ens = bootstrap.ensemble_step(ens, x, streams)
-    v_hat = oja.run(data, n=data.shape[0], eta_n=eta_n, u0=u0)
-    return v_hat, np.clip(1.0 - (ens.replicates @ v_hat) ** 2, 0.0, 1.0)
+    n = data.shape[0]
+    reps = oja.advance(oja.start(u0, m), data, eta_n / n,
+                       bootstrap.draw_multipliers(streams, 0, n))
+    v_hat = oja.run(data, n=n, eta_n=eta_n, u0=u0)
+    return v_hat, np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
 
 
 def small_model(d=4, seed=0):
@@ -45,93 +30,110 @@ def small_model(d=4, seed=0):
 
 
 class TestEnsembleInit:
+    # a replicate block starts as copies of the normalized u0 (oja.start)
     def test_copies_of_u0(self):
-        ens = bootstrap.ensemble_init([1.0, 0.0], m=3, eta_n=1.0, n=5)
-        assert ens.replicates.shape == (3, 2)
-        np.testing.assert_array_equal(ens.replicates, np.tile([1.0, 0.0], (3, 1)))
-        assert ens.prev_x is None and ens.t == 0
+        block = oja.start([1.0, 0.0], 3)
+        assert block.shape == (3, 2)
+        np.testing.assert_array_equal(block, np.tile([1.0, 0.0], (3, 1)))
 
     def test_single_replicate(self):
-        ens = bootstrap.ensemble_init([3.0, 4.0], m=1, eta_n=1.0, n=5)
-        np.testing.assert_allclose(ens.replicates[0], [0.6, 0.8])
+        np.testing.assert_allclose(oja.start([3.0, 4.0], 1)[0], [0.6, 0.8])
 
     def test_value_semantics_between_steps(self):
-        ens = bootstrap.ensemble_init([1.0, 0.0], m=2, eta_n=1.0, n=5)
-        stepped = bootstrap.ensemble_step(ens, [0.5, 0.5], [StubStream(0.0)] * 2)
-        stepped.replicates[0, 0] = 99.0
-        assert ens.replicates[0, 0] == 1.0
-        assert not np.shares_memory(stepped.replicates, ens.replicates)
+        block = oja.start([1.0, 0.0], 2)
+        stepped = oja.advance(block, [[0.5, 0.5]], 0.2, mult=np.zeros((2, 1)))
+        stepped[0, 0] = 99.0
+        assert block[0, 0] == 1.0
+        assert not np.shares_memory(stepped, block)
 
     def test_rejects_m0(self):
         with pytest.raises(ValueError):
-            bootstrap.ensemble_init([1.0, 0.0], m=0, eta_n=1.0, n=5)
+            oja.start([1.0, 0.0], 0)
+        with pytest.raises(ValueError):
+            oja.advance(np.zeros((0, 2)), [[1.0, 0.0]], 0.2, mult=np.zeros((0, 1)))
 
 
 class TestEnsembleStep:
+    # the multiplier update of oja.advance on shared data
     def test_first_step_is_plain_oja_and_draws_nothing(self):
         u0 = np.array([1.0, 0.0])
-        ens = bootstrap.ensemble_init(u0, m=2, eta_n=1.0, n=2)
-        ens = bootstrap.ensemble_step(ens, [1.0, 1.0], [RaisingStream()] * 2)
+        # no previous sample: the first column of multipliers is never read
+        block = oja.advance(oja.start(u0, 2), [[1.0, 1.0]], 0.5, mult=np.full((2, 1), np.nan))
         w = oja.run(np.array([[1.0, 1.0]]), n=1, eta_n=0.5, u0=u0)
-        for row in ens.replicates:
+        for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
-        np.testing.assert_array_equal(ens.prev_x, [1.0, 1.0])
+        # and the stream's first draw belongs to the second step
+        mult = bootstrap.draw_multipliers([randgen.derive_stream(3, ("w", 0))], 0, 3)
+        assert mult[0, 0] == 0.0
+        np.testing.assert_array_equal(
+            mult[0, 1:], randgen.derive_stream(3, ("w", 0)).normal(0.0, 0.5, 2))
 
     def test_zero_multiplier_reduces_to_oja(self):
         rng = np.random.default_rng(1)
         u0 = rng.standard_normal(3)
         data = rng.standard_normal((4, 3))
-        ens = bootstrap.ensemble_init(u0, m=3, eta_n=2.0, n=4)
-        for x in data:
-            ens = bootstrap.ensemble_step(ens, x, [StubStream(0.0)] * 3)
+        block = oja.advance(oja.start(u0, 3), data, 2.0 / 4, mult=np.zeros((3, 4)))
         w = oja.run(data, n=4, eta_n=2.0, u0=u0)
-        for row in ens.replicates:
+        for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
 
     def test_repeated_sample_is_oja_step_for_any_w(self):
         rng = np.random.default_rng(2)
         u0 = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        ens = bootstrap.ensemble_init(u0, m=2, eta_n=1.5, n=3)
-        ens = bootstrap.ensemble_step(ens, x, [StubStream(3.7), StubStream(-1.2)])
-        ens = bootstrap.ensemble_step(ens, x, [StubStream(3.7), StubStream(-1.2)])
+        mult = np.array([[3.7, 3.7], [-1.2, -1.2]])
+        block = oja.advance(oja.start(u0, 2), [x, x], 1.5 / 3, mult=mult)
         # two plain steps at eta = 1.5 / 3
         w = oja.run(np.array([x, x]), n=2, eta_n=1.0, u0=u0)
-        for row in ens.replicates:
+        for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(3)
-        ens = bootstrap.ensemble_init(rng.standard_normal(4), m=5, eta_n=3.0, n=20)
+        block = oja.start(rng.standard_normal(4), 5)
         streams = [randgen.derive_stream(0, ("w", i)) for i in range(5)]
-        for _ in range(20):
-            ens = bootstrap.ensemble_step(ens, rng.standard_normal(4), streams)
-            np.testing.assert_allclose(np.linalg.norm(ens.replicates, axis=1), 1.0, atol=1e-12)
+        prev = None
+        for t in range(20):
+            x = rng.standard_normal(4)
+            block = oja.advance(block, [x], 3.0 / 20,
+                                bootstrap.draw_multipliers(streams, t, t + 1), prev)
+            prev = x
+            np.testing.assert_allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-12)
 
     def test_one_dimensional_sphere(self):
-        ens = bootstrap.ensemble_init([2.0], m=3, eta_n=1.0, n=4)
+        block = oja.start([2.0], 3)
         streams = [randgen.derive_stream(1, ("w", i)) for i in range(3)]
-        for x in ([1.3], [-0.4], [0.9], [2.0]):
-            ens = bootstrap.ensemble_step(ens, x, streams)
-            np.testing.assert_allclose(np.abs(ens.replicates[:, 0]), 1.0, atol=1e-12)
+        prev = None
+        for t, x in enumerate(([1.3], [-0.4], [0.9], [2.0])):
+            block = oja.advance(block, [x], 1.0 / 4,
+                                bootstrap.draw_multipliers(streams, t, t + 1), prev)
+            prev = np.array(x)
+            np.testing.assert_allclose(np.abs(block[:, 0]), 1.0, atol=1e-12)
 
     def test_matches_scalar_update(self):
         rng = np.random.default_rng(4)
         u0 = rng.standard_normal(3)
         x0, x1 = rng.standard_normal(3), rng.standard_normal(3)
         ws = [0.8, -0.3]
-        ens = bootstrap.ensemble_init(u0, m=2, eta_n=1.2, n=2)
-        ens = bootstrap.ensemble_step(ens, x0, [RaisingStream()] * 2)
-        ens = bootstrap.ensemble_step(ens, x1, [StubStream(w) for w in ws])
+        mult = np.array([[np.nan, ws[0]], [np.nan, ws[1]]])
+        block = oja.advance(oja.start(u0, 2), [x0, x1], 0.6, mult=mult)
         v_prev = oja.normalize(oja.normalize(u0) + 0.6 * (oja.normalize(u0) @ x0) * x0)
         for i, w in enumerate(ws):
             ref = oja.normalize(scalar_update(v_prev, x1, x0, 0.6, w))
-            np.testing.assert_allclose(ens.replicates[i], ref, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(block[i], ref, rtol=1e-14, atol=1e-15)
 
     def test_dimension_mismatch(self):
-        ens = bootstrap.ensemble_init([1.0, 0.0], m=1, eta_n=1.0, n=2)
         with pytest.raises(ValueError):
-            bootstrap.ensemble_step(ens, [1.0, 0.0, 0.0], [StubStream(0.0)])
+            oja.advance(oja.start([1.0, 0.0], 1), [[1.0, 0.0, 0.0]], 0.5, mult=np.zeros((1, 1)))
+
+    def test_chunked_draws_equal_scalar_draws(self):
+        streams = [randgen.derive_stream(5, ("w", i)) for i in range(3)]
+        chunks = np.hstack([bootstrap.draw_multipliers(streams, lo, hi)
+                            for lo, hi in ((0, 5), (5, 9), (9, 12))])
+        for i, row in enumerate(chunks):
+            s = randgen.derive_stream(5, ("w", i))
+            scalar = [0.0] + [s.normal(0.0, 0.5) for _ in range(11)]
+            np.testing.assert_array_equal(row, scalar)
 
 
 class TestConditionalMoments:
@@ -198,23 +200,12 @@ class TestRunBootstrap:
         wseq = rng.standard_normal(n)
         u0 = oja.normalize(rng.standard_normal(d))
         eta_n = 1.4
-
-        class Replay:
-            def __init__(self):
-                self.i = 1  # first drawn W belongs to step 2
-
-            def normal(self, mean, variance, size=None):
-                self.i += 1
-                return wseq[self.i - 1]
-
-        ens = bootstrap.ensemble_init(u0, m=1, eta_n=eta_n, n=n)
-        replay = Replay()
-        for x in data:
-            ens = bootstrap.ensemble_step(ens, x, [replay])
+        # the first column is never read: step 1 has no previous sample
+        rep = oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :])
         weights = np.concatenate([[0.0], wseq[1:]])
         b = hoeffding.bootstrap_direct_product(data, weights, eta_n)
         ref = oja.normalize(b @ u0)
-        assert abs(ens.replicates[0] @ ref) >= 1.0 - 1e-10
+        assert abs(rep[0] @ ref) >= 1.0 - 1e-10
 
 
 class TestBootstrapCovariance:

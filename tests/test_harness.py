@@ -6,7 +6,26 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ojaboot import bootstrap, harness, hoeffding, model, oja, randgen, reference, stats
+from ojaboot import harness, hoeffding, model, oja, randgen, reference, stats
+
+
+def scalar_draw_replicates(data, u0, eta, streams):
+    """The whole ensemble as one matrix per step, with one scalar multiplier
+    draw per replicate and step from t = 2: the reference for the bootstrap."""
+    r = np.tile(oja.normalize(u0), (len(streams), 1))
+    prev = None
+    for x in data:
+        h = r @ x
+        if prev is None:
+            r = r + eta * h[:, None] * x[None, :]
+        else:
+            w = np.array([s.normal(0.0, 0.5) for s in streams])
+            g = r @ prev
+            r = (r + eta * ((1.0 + w) * h)[:, None] * x[None, :]
+                 - eta * (w * g)[:, None] * prev[None, :])
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        prev = x
+    return r
 
 
 def tiny_config(**overrides):
@@ -105,6 +124,17 @@ class TestSamplingExperiment:
         b = harness.run_sampling_experiment(tiny_config(), threads=4)
         np.testing.assert_array_equal(a["samples"], b["samples"])
 
+    def test_matches_per_trial_runs(self):
+        # n = 131 is not a multiple of the time chunk, 70 not one of the block
+        cfg = tiny_config(n=131, d=20, trials=70)
+        res = harness.run_sampling_experiment(cfg)
+        mdl = cfg.spectral_model()
+        u0 = harness.draw_u0(cfg)
+        per_trial = [oja.sin2(oja.run(model.sample_x(mdl, cfg.stream("trial", j), cfg.n),
+                                      cfg.n, cfg.eta_n, u0), mdl.v1)
+                     for j in range(70)]
+        np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
+
     def test_u0_shared_with_bootstrap(self):
         cfg = tiny_config()
         u_samp = harness.run_sampling_experiment(cfg)["u0"]
@@ -128,12 +158,10 @@ class TestBootstrapExperiment:
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
-        ens = bootstrap.ensemble_init(u0, 5, cfg.eta_n, cfg.n)
-        streams = [cfg.stream("w", i) for i in range(5)]
-        for x in data:
-            ens = bootstrap.ensemble_step(ens, x, streams)
+        reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
+                                      [cfg.stream("w", i) for i in range(5)])
         v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
-        errors = np.clip(1.0 - (ens.replicates @ v_hat) ** 2, 0.0, 1.0)
+        errors = np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
         np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
         np.testing.assert_allclose(res["v_hat"], v_hat, atol=1e-15)
 
@@ -145,13 +173,23 @@ class TestBootstrapExperiment:
         u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
         # one unsharded ensemble over all 70 replicates
-        ens = bootstrap.ensemble_init(u0, 70, cfg.eta_n, cfg.n)
-        streams = [cfg.stream("w", i) for i in range(70)]
-        for x in data:
-            ens = bootstrap.ensemble_step(ens, x, streams)
+        reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
+                                      [cfg.stream("w", i) for i in range(70)])
         v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
-        errors = np.clip(1.0 - (ens.replicates @ v_hat) ** 2, 0.0, 1.0)
+        errors = np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
         np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
+
+    def test_bitwise_equal_to_scalar_draws(self):
+        # n = 131 is not a multiple of the time chunk, 70 not one of the block
+        cfg = tiny_config(n=131, d=20, replicates=70)
+        res = harness.run_bootstrap_experiment(cfg)
+        mdl = cfg.spectral_model()
+        u0 = harness.draw_u0(cfg)
+        data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
+        reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
+                                      [cfg.stream("w", i) for i in range(70)])
+        np.testing.assert_array_equal(res["errors"],
+                                      np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
 
     def test_deterministic_across_threads(self):
         a = harness.run_bootstrap_experiment(tiny_config(replicates=20), threads=1)

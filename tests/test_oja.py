@@ -104,6 +104,62 @@ class TestRun:
         with pytest.raises(ValueError):
             oja.run(np.zeros((2, 2)), n=3, eta_n=1.0, u0=[1.0, 0.0])
 
+    def test_accepts_plain_lists(self):
+        rows = [[1.0, 0.2], [-0.3, 1.0]]
+        w_list = oja.run(rows, n=2, eta_n=1.0, u0=[1.0, 1.0])
+        w_arr = oja.run(np.array(rows), n=2, eta_n=1.0, u0=[1.0, 1.0])
+        np.testing.assert_array_equal(w_list, w_arr)
+
+    def test_dimension_mismatch_names_the_row(self):
+        rows = [[1.0, 0.2], [-0.3, 1.0, 0.5]]
+        with pytest.raises(ValueError, match=r"row 1 has dimension \(3,\), u0 has dimension 2"):
+            oja.run(rows, n=2, eta_n=1.0, u0=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"row 0 has dimension \(3,\), u0 has dimension 2"):
+            oja.run(np.ones((2, 3)), n=2, eta_n=1.0, u0=[1.0, 1.0])
+
+
+class TestAdvance:
+    def test_run_is_the_one_row_call(self):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((40, 5))
+        u0 = rng.standard_normal(5)
+        w = oja.advance(oja.start(u0, 1), data, 1.3 / 40)
+        np.testing.assert_array_equal(w[0], oja.run(data, n=40, eta_n=1.3, u0=u0))
+
+    def test_rows_repeat_run_on_their_own_samples(self):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((6, 50, 4))
+        u0 = rng.standard_normal(4)
+        w = oja.advance(oja.start(u0, 6), data, 2.0 / 50)
+        for row, x in zip(w, data):
+            np.testing.assert_array_equal(row, oja.run(x, n=50, eta_n=2.0, u0=u0))
+
+    @pytest.mark.parametrize("with_multipliers", [False, True])
+    def test_chunk_boundaries_are_invisible(self, with_multipliers):
+        # 131 samples in chunks of 7 (the last one short) against one chunk
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal((131, 3))
+        mult = rng.standard_normal((5, 131)) if with_multipliers else None
+        block = oja.start(rng.standard_normal(3), 5)
+        whole = oja.advance(block, data, 0.02, mult)
+        for lo in range(0, 131, 7):
+            hi = min(lo + 7, 131)
+            block = oja.advance(block, data[lo:hi], 0.02,
+                                None if mult is None else mult[:, lo:hi],
+                                data[lo - 1] if lo else None)
+        np.testing.assert_array_equal(block, whole)
+
+    def test_shape_errors(self):
+        block = oja.start([1.0, 0.0], 3)
+        with pytest.raises(ValueError, match="do not fit"):
+            oja.advance(np.zeros((0, 2)), np.ones((4, 2)), 0.1)
+        with pytest.raises(ValueError, match="do not fit"):
+            oja.advance(block, np.ones((4, 3)), 0.1)
+        with pytest.raises(ValueError, match="do not fit"):
+            oja.advance(block, np.ones((2, 4, 2)), 0.1)
+        with pytest.raises(ValueError, match="multipliers"):
+            oja.advance(block, np.ones((4, 2)), 0.1, mult=np.zeros((3, 5)))
+
 
 class TestSin2:
     def test_identical(self):

@@ -84,6 +84,13 @@ class TestUniformSym:
         z = s.uniform_sym(10**6)
         assert abs(np.mean(z**4) - 1.8) < 0.02
 
+    def test_chunked_draws_equal_bulk(self):
+        # the sampling experiment draws each trial's rows in time chunks
+        bulk = randgen.derive_stream(3, ("chunks",)).uniform_sym((131, 3))
+        s = randgen.derive_stream(3, ("chunks",))
+        chunks = np.vstack([s.uniform_sym((rows, 3)) for rows in (64, 64, 3)])
+        np.testing.assert_array_equal(chunks, bulk)
+
 
 class TestChisq1:
     def test_nonnegative(self):

@@ -245,6 +245,14 @@ class TestSampleWeightedChisq:
         se_var = np.sqrt((m4 - d.var() ** 2) / d.size)
         assert abs(d.var() - w.variance) <= 5 * se_var
 
+    def test_roundoff_weight_draws_no_column(self):
+        # a weight below the relative floor (vbar's null eigenvalue, say) is
+        # roundoff; whether it lands at +1e-18 or 0 must not change the draw
+        draws = [reference.sample_weighted_chisq(reference.WeightedChiSq([1.3, tiny]),
+                                                 randgen.derive_stream(15, ("f",)), 1000)
+                 for tiny in (1e-18, 0.0)]
+        np.testing.assert_array_equal(draws[0], draws[1])
+
     def test_nonnegative_draws(self):
         d = reference.sample_weighted_chisq(
             reference.WeightedChiSq([0.5, 0.2]), randgen.derive_stream(13, ("nn",)), 1000)
