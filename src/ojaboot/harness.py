@@ -2,9 +2,15 @@
 comparison artifacts, and the self-verification suite.
 
 Every random consumer owns a substream derived from (master_seed, path), and
-blocks and time chunks have fixed sizes, so any output file is a pure function
-of the config. Aggregation is always in unit-index order and floats are
-serialized through repr, which keeps reruns byte-identical.
+blocks and time chunks have sizes fixed by the config, so any output file is a
+pure function of the config. Aggregation is always in unit-index order and
+floats are serialized through repr, which keeps reruns byte-identical.
+
+Each runner is one pass over time that carries all its rows (trials or
+replicates) in one block of up to 512 rows, so up to that count the kernel's
+per-step overhead is paid n times, not once per block. Time is cut into chunks
+that bound memory: 256 steps for the bootstrap, and for sampling 4096 samples
+over the block's trials (4096 // rows steps).
 """
 
 from __future__ import annotations
@@ -19,11 +25,15 @@ import numpy as np
 
 from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stats
 
-# Passes advance _BLOCK rows through _CHUNK steps at a time: a sampling chunk (4096
-# rows) stays below one trial's data at n = 5000, and a multiple of 4 keeps OpenBLAS's
-# 4-row matrix-vector grouping, so no replicate's rounding depends on block ends.
-_BLOCK = 64
-_CHUNK = 64
+# The row cap bounds temporaries and draw calls at very large counts; as a multiple
+# of 4 it keeps OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
+# depends on where blocks end. A bootstrap chunk takes one multiplier draw per
+# replicate. A sampling chunk (rows x steps <= _SAMPLING_ROWS samples) takes one
+# uniform draw per trial and one product by Sigma^(1/2); its two buffers hold
+# 2 x _SAMPLING_ROWS x d floats (6.6 MB at d = 100) whatever the trial count.
+_BLOCK = 512
+_BOOTSTRAP_STEPS = 256
+_SAMPLING_ROWS = 4096
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
 
@@ -158,31 +168,40 @@ def draw_u0(config: ExperimentConfig) -> np.ndarray:
     return oja.normalize(config.stream("u0").normal(0.0, 1.0, config.d))
 
 
-def _blocked_pass(config: ExperimentConfig, u0, label: str, count: int, chunk) -> np.ndarray:
-    """The (count, d) final iterates of passes from u0, _BLOCK rows at a time.
-    Row i owns the stream (label, i); chunk(streams, lo, hi) gives the samples,
-    multipliers and previous sample of steps lo..hi-1 for a block's streams."""
+def _blocked_pass(config: ExperimentConfig, u0, label: str, count: int, steps,
+                  chunk) -> np.ndarray:
+    """The (count, d) final iterates of one pass over time from u0, at most _BLOCK rows
+    at a time. Row i owns the stream (label, i); a block of m rows advances through
+    chunks of steps(m) time steps, and chunk(streams, lo, hi) gives the samples,
+    multipliers and previous sample of steps lo..hi-1 for the block's streams."""
     blocks = []
     for first in range(0, count, _BLOCK):
         streams = [config.stream(label, i) for i in range(first, min(first + _BLOCK, count))]
         w = oja.start(u0, len(streams))
-        for lo in range(0, config.n, _CHUNK):
-            x, mult, prev = chunk(streams, lo, min(lo + _CHUNK, config.n))
+        step = steps(len(streams))
+        for lo in range(0, config.n, step):
+            x, mult, prev = chunk(streams, lo, min(lo + step, config.n))
             w = oja.advance(w, x, config.eta_n / config.n, mult, prev)
         blocks.append(w)
     return np.vstack(blocks)
 
 
-def run_sampling_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
+def run_sampling_experiment(config: ExperimentConfig) -> dict:
     """Fixed u0, `trials` fresh datasets, one Oja pass each; errors vs true v1.
     A trial draws its rows chunk by chunk from its own ("trial", j) stream,
-    the same rows as one bulk draw. `threads` has no effect."""
+    the same uniform coordinates as one bulk draw."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
+    draws = np.empty(_SAMPLING_ROWS * config.d)
+    x = np.empty_like(draws)
 
     def chunk(streams, lo, hi):
-        return np.stack([model.sample_x(mdl, s, hi - lo) for s in streams]), None, None
-    w = _blocked_pass(config, u0, "trial", config.trials, chunk)
+        shape = (len(streams), hi - lo, config.d)
+        size = math.prod(shape)
+        return (model.sample_paths(mdl, streams, draws[:size].reshape(shape),
+                                   x[:size].reshape(shape)), None, None)
+    w = _blocked_pass(config, u0, "trial", config.trials,
+                      lambda rows: _SAMPLING_ROWS // rows, chunk)
     errors = np.array([oja.sin2(row, mdl.v1) for row in w])
     scaled = (config.n / config.eta_n) * errors
     return {
@@ -197,10 +216,10 @@ def run_sampling_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     }
 
 
-def run_bootstrap_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
+def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     """One dataset, m multiplier-perturbed replicate chains, errors vs the
     unperturbed estimate. Replicate i draws its multipliers from its own
-    ("w", i) stream. `threads` has no effect."""
+    ("w", i) stream."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     data = model.sample_x(mdl, config.stream("data", 0), config.n)
@@ -209,7 +228,8 @@ def run_bootstrap_experiment(config: ExperimentConfig, threads: int = 1) -> dict
     def chunk(streams, lo, hi):
         return (data[lo:hi], bootstrap.draw_multipliers(streams, lo, hi),
                 data[lo - 1] if lo else None)
-    replicates = _blocked_pass(config, u0, "w", config.replicates, chunk)
+    replicates = _blocked_pass(config, u0, "w", config.replicates,
+                               lambda rows: _BOOTSTRAP_STEPS, chunk)
     errors = np.clip(1.0 - (replicates @ v_hat) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
     return {

@@ -170,6 +170,25 @@ def sample_x(model: SpectralModel, stream: RngStream, size: int | None = None) -
     return stream.uniform_sym((size, d)) @ model.sqrt_sigma
 
 
+def sample_paths(model: SpectralModel, streams, draws: np.ndarray, out: np.ndarray):
+    """Fill out, a C-contiguous (m, T, d) array, with the next T samples of each of m
+    streams: row i holds what sample_x(model, streams[i], T) returns, up to the rounding
+    of one product by Sigma^{1/2} for all m T samples. draws, of the same shape, is
+    scratch for the Z coordinates; both buffers can be reused from call to call."""
+    d = model.dim
+    if isinstance(model.sampling_law, DiscreteSpec):
+        raise ValueError("sample_paths draws continuous laws; use sample_x for a discrete one")
+    if (out.shape != draws.shape or out.ndim != 3 or out.shape[0] != len(streams)
+            or out.shape[2] != d or not out.flags.c_contiguous
+            or not draws.flags.c_contiguous):
+        raise ValueError(f"buffers of shapes {draws.shape} and {out.shape} are not C-contiguous "
+                         f"(m, T, d) with m = {len(streams)} streams and d = {d}")
+    for row, stream in zip(draws, streams):
+        stream.uniform_sym(out=row)
+    np.matmul(draws.reshape(-1, d), model.sqrt_sigma, out=out.reshape(-1, d))
+    return out
+
+
 def enumerate_outcomes(spec: DiscreteSpec, n: int):
     """Yield ((n, d) outcome, joint probability) over the full product law."""
     if not isinstance(spec, DiscreteSpec):

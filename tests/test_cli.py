@@ -133,6 +133,23 @@ class TestDeterminism:
         assert cli.main(["compare", "--config", str(config_path), "--threads", "8"]) == 0
         assert read_all(out) == first
 
+    def test_blas_thread_count_invisible_in_compare_bytes(self, tmp_path):
+        # A 300-row block at d = 100 makes the iterate and sampling products large
+        # enough for OpenBLAS to split them over threads. (reference is left out:
+        # its Monte Carlo reductions change in the last digits.)
+        config = {"n": 200, "d": 100, "trials": 300, "replicates": 300, "master_seed": 1}
+        outputs = []
+        for blas_threads in ("1", "2"):
+            run_dir = tmp_path / f"blas{blas_threads}"
+            run_dir.mkdir()
+            (run_dir / "config.json").write_text(json.dumps(config))
+            proc = run_module(["compare", "--config", "config.json", "--out", "out"],
+                              run_dir, OPENBLAS_NUM_THREADS=blas_threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(read_all(run_dir / "out"))
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]
+
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         out = tmp_path / "out"
         cli.main(["reference", "--config", str(config_path)])
@@ -141,14 +158,17 @@ class TestDeterminism:
         assert read_all(out) == first
 
 
-def test_module_entry_point(config_path, tmp_path):
-    # The child runs in tmp_path, so a relative PYTHONPATH entry would resolve
-    # there; put the directory that holds the package first, as an absolute path.
+def run_module(args, cwd, **env_overrides):
+    # The child runs in cwd, so a relative PYTHONPATH entry would resolve there;
+    # put the directory that holds the package first, as an absolute path.
     pkg_root = str(Path(ojaboot.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env_overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ojaboot.cli", "verify", "--config", str(config_path)],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+    return subprocess.run([sys.executable, "-m", "ojaboot.cli", *args],
+                          capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_module_entry_point(config_path, tmp_path):
+    proc = run_module(["verify", "--config", str(config_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "vbar_closed_form: pass" in proc.stdout

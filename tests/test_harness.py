@@ -119,11 +119,6 @@ class TestSamplingExperiment:
         b = harness.run_sampling_experiment(tiny_config())
         np.testing.assert_array_equal(a["samples"], b["samples"])
 
-    def test_threads_do_not_change_values(self):
-        a = harness.run_sampling_experiment(tiny_config(), threads=1)
-        b = harness.run_sampling_experiment(tiny_config(), threads=4)
-        np.testing.assert_array_equal(a["samples"], b["samples"])
-
     def test_matches_per_trial_runs(self):
         # n = 131 is not a multiple of the time chunk, 70 not one of the block
         cfg = tiny_config(n=131, d=20, trials=70)
@@ -133,6 +128,18 @@ class TestSamplingExperiment:
         per_trial = [oja.sin2(oja.run(model.sample_x(mdl, cfg.stream("trial", j), cfg.n),
                                       cfg.n, cfg.eta_n, u0), mdl.v1)
                      for j in range(70)]
+        np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
+
+    def test_trials_above_the_block_cap(self):
+        # 600 = 512 + 88 trials, chunks of 4096 // 512 = 8 and 4096 // 88 = 46 steps;
+        # n = 100 is a multiple of neither
+        cfg = tiny_config(n=100, d=3, trials=600)
+        res = harness.run_sampling_experiment(cfg)
+        mdl = cfg.spectral_model()
+        u0 = harness.draw_u0(cfg)
+        per_trial = [oja.sin2(oja.run(model.sample_x(mdl, cfg.stream("trial", j), cfg.n),
+                                      cfg.n, cfg.eta_n, u0), mdl.v1)
+                     for j in range(600)]
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_u0_shared_with_bootstrap(self):
@@ -191,10 +198,16 @@ class TestBootstrapExperiment:
         np.testing.assert_array_equal(res["errors"],
                                       np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
 
-    def test_deterministic_across_threads(self):
-        a = harness.run_bootstrap_experiment(tiny_config(replicates=20), threads=1)
-        b = harness.run_bootstrap_experiment(tiny_config(replicates=20), threads=8)
-        np.testing.assert_array_equal(a["errors"], b["errors"])
+    def test_replicates_above_the_block_cap(self):
+        # 520 = 512 + 8 replicates; n = 300 = 256 + 44 steps crosses a chunk end
+        cfg = tiny_config(n=300, d=3, replicates=520)
+        res = harness.run_bootstrap_experiment(cfg)
+        mdl = cfg.spectral_model()
+        data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
+        reps = scalar_draw_replicates(data, harness.draw_u0(cfg), cfg.eta_n / cfg.n,
+                                      [cfg.stream("w", i) for i in range(520)])
+        np.testing.assert_array_equal(res["errors"],
+                                      np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
 
 
 class TestReferenceRun:

@@ -121,6 +121,29 @@ class TestSampleX:
         assert 0 < np.sum(xs[:, 0] > 0) < 5000
 
 
+class TestSamplePaths:
+    def test_rows_are_sample_x_in_chunks(self):
+        m = model.spectral_decompose(model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0))
+        streams = [randgen.derive_stream(4, ("path", i)) for i in range(3)]
+        draws, out = np.empty((3, 7, 5)), np.empty((3, 7, 5))
+        chunks = [model.sample_paths(m, streams, draws, out).copy() for _ in range(2)]
+        for i, row in enumerate(np.concatenate(chunks, axis=1)):
+            bulk = model.sample_x(m, randgen.derive_stream(4, ("path", i)), 14)
+            np.testing.assert_allclose(row, bulk, rtol=1e-12, atol=1e-13)
+
+    def test_rejects_unfit_buffers_and_discrete_laws(self):
+        m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0))
+        streams = [randgen.derive_stream(4, ("bad", i)) for i in range(2)]
+        for draws, out in [(np.empty((2, 4, 3)), np.empty((2, 4, 4))),
+                           (np.empty((3, 4, 3)), np.empty((3, 4, 3))),
+                           (np.empty((2, 4, 3)), np.empty((2, 8, 3))[:, ::2])]:
+            with pytest.raises(ValueError):
+                model.sample_paths(m, streams, draws, out)
+        disc = model.spectral_decompose(rademacher_e1())
+        with pytest.raises(ValueError):
+            model.sample_paths(disc, streams, np.empty((2, 4, 2)), np.empty((2, 4, 2)))
+
+
 class TestDiscreteSpecValidation:
     def test_rejects_noncentered_support(self):
         with pytest.raises(ValueError, match="mean zero"):

