@@ -65,7 +65,7 @@ def _cmd_bootstrap(config) -> int:
 def _cmd_reference(config) -> int:
     res = harness.run_reference(config)
     out = _out_dir(config)
-    summary = res["reference"].summary()
+    summary = res["reference"].summary(res["weights"])
     harness.write_cdf_csv(out / "reference_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "reference_summary.json", config,
                                trace_vbar=summary["trace"],

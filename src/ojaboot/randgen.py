@@ -78,9 +78,9 @@ class RngStream:
         return u
 
     def chisq1(self, size=None):
-        """chi^2(1) draw(s), literally the square of a standard normal."""
+        """chi^2(1) draw(s), literally the square of a standard normal (in place)."""
         z = self._gen.standard_normal(size)
-        return z * z
+        return z * z if size is None else np.square(z, out=z)
 
     def uniform01(self, size=None):
         """Uniform [0, 1) draw(s); used for sampling finite supports."""

@@ -7,6 +7,11 @@ ingredients: a fourth-moment matrix of the data law expressed in the
 complement of the top eigenvector, and the geometric decay ratios of the
 deflated one-step update. Everything here is a closed form in the
 eigenbasis or a plain Monte Carlo average over a caller-supplied stream.
+
+Both Monte Carlo stages (the moment matrix and the chi-square draws) stream
+through fixed row chunks, so their memory is O(chunk * d) rather than
+O(n_mc * d), and their sums run in a fixed order that does not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +32,13 @@ _TIE_TOL = 1e-12
 _WEIGHT_FLOOR_RTOL = 1e-8
 # constructor clamps weights in [-1e-12, 0) to zero, rejects below
 _WEIGHT_CLAMP = 1e-12
+# Monte Carlo rows drawn per chunk: 512 x d floats (400 KB at d = 100) stay in
+# cache, and as a multiple of 4 the chunk keeps OpenBLAS's 4-row matrix-vector
+# grouping, so chunked chi-square draws equal one-shot ones bit for bit
+_MC_ROWS = 512
+# the moment sum adds one 64-row product at a time, in order; OpenBLAS splits
+# longer reductions over threads, which moves the last digits with the count
+_REDUCE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +80,9 @@ class ReferenceCovariance:
     def dim(self) -> int:
         return self.vbar.shape[0]
 
-    def summary(self) -> dict:
-        """Scalars the experiment harness serializes: spectrum, trace, Frobenius norm."""
-        w = chisq_weights(self.vbar)
+    def summary(self, w: WeightedChiSq) -> dict:
+        """Scalars the experiment harness serializes: spectrum, trace, Frobenius norm.
+        w is chisq_weights(self.vbar), passed in so vbar is decomposed only once."""
         return {
             "weights": [float(x) for x in w.weights],
             "trace": float(np.trace(self.vbar)),
@@ -112,7 +124,10 @@ def estimate_M(mdl: model.SpectralModel, stream, n_mc: int = MC_DEFAULT) -> np.n
     Estimates E[(x . v1)^2 (P x)(P x)^T] where P maps to the complement
     coordinates. Discrete laws are summed exactly over their support and
     n_mc is ignored; continuous laws use an n_mc-sample Monte Carlo average
-    drawn from `stream`.
+    drawn from `stream`, the same draws as model.sample_x(mdl, stream, n_mc).
+
+    Since x = Sigma^{1/2} z, the eigenbasis coordinates x Q are z Q Lambda^{1/2}:
+    one product per chunk gives s = x . v1 (column 0) and y = x V_perp (the rest).
     """
     law = mdl.sampling_law
     if isinstance(law, model.DiscreteSpec):
@@ -121,10 +136,18 @@ def estimate_M(mdl: model.SpectralModel, stream, n_mc: int = MC_DEFAULT) -> np.n
         return linalg.sym((y * (law.probs * s * s)[:, None]).T @ y)
     if n_mc < 1:
         raise ValueError("Monte Carlo estimation needs n_mc >= 1")
-    x = model.sample_x(mdl, stream, n_mc)
-    s = x @ mdl.v1
-    y = x @ mdl.v_perp
-    return linalg.sym((y * (s * s)[:, None]).T @ y / n_mc)
+    d = mdl.dim
+    root = mdl.eig.eigenvectors * np.sqrt(np.clip(mdl.eig.eigenvalues, 0.0, None))
+    z = np.empty((min(n_mc, _MC_ROWS), d))
+    acc = np.zeros((d - 1, d - 1))
+    for first in range(0, n_mc, _MC_ROWS):
+        zc = stream.uniform_sym(out=z[:min(_MC_ROWS, n_mc - first)])
+        coords = zc @ root
+        y = coords[:, 1:]
+        ys = y * np.square(coords[:, :1])
+        for k in range(0, zc.shape[0], _REDUCE_ROWS):
+            acc += ys[k:k + _REDUCE_ROWS].T @ y[k:k + _REDUCE_ROWS]
+    return linalg.sym(acc / n_mc)
 
 
 def contraction_ratios(mdl: model.SpectralModel, eta_n: float, n: int) -> np.ndarray:
@@ -146,7 +169,8 @@ def assemble_vbar(m_matrix, lambda_perp, eta_n: float, n: int, v_perp) -> np.nda
     The (k, l) inner entry is m[k, l] * (1 - r^n) / (1 - r) with
     r = lambda_perp[k] * lambda_perp[l]; ties at r = 1 take the n-term
     limit. The result is scaled by eta_n/n and conjugated into the full
-    frame by v_perp.
+    frame by v_perp. The conjugation runs in einsum's own loops, not BLAS,
+    whose threaded product rounds differently with the thread count.
     """
     m = np.asarray(m_matrix, dtype=float)
     lp = np.asarray(lambda_perp, dtype=float)
@@ -162,7 +186,8 @@ def assemble_vbar(m_matrix, lambda_perp, eta_n: float, n: int, v_perp) -> np.nda
     geom = np.full_like(r, float(n))
     far = np.abs(1.0 - r) >= _TIE_TOL
     geom[far] = (1.0 - r[far] ** n) / (1.0 - r[far])
-    return linalg.sym((eta_n / n) * (v @ (m * geom) @ v.T))
+    inner = np.einsum("ik,kl->il", v, m * geom)
+    return linalg.sym((eta_n / n) * np.einsum("il,jl->ij", inner, v))
 
 
 def build_reference(mdl: model.SpectralModel, stream, eta_n: float, n: int,
@@ -187,13 +212,21 @@ def chisq_weights(vbar) -> WeightedChiSq:
 
 
 def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
-    """n_mc independent draws of the weighted chi-square law."""
+    """n_mc independent draws of the weighted chi-square law.
+
+    Rows of chi-square(1) draws come _MC_ROWS at a time; the values equal those of
+    one (n_mc, k) draw times the weights, bit for bit.
+    """
     if n_mc < 1:
         raise ValueError("need n_mc >= 1")
     pos = w.weights[w.weights > _WEIGHT_FLOOR_RTOL * w.weights[0]]
+    out = np.zeros(n_mc)
     if pos.size == 0:
-        return np.zeros(n_mc)
-    return stream.chisq1((n_mc, pos.size)) @ pos
+        return out
+    for first in range(0, n_mc, _MC_ROWS):
+        last = min(first + _MC_ROWS, n_mc)
+        np.matmul(stream.chisq1((last - first, pos.size)), pos, out=out[first:last])
+    return out
 
 
 def anticoncentration_check(w: WeightedChiSq, h: float, stream,

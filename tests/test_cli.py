@@ -133,21 +133,26 @@ class TestDeterminism:
         assert cli.main(["compare", "--config", str(config_path), "--threads", "8"]) == 0
         assert read_all(out) == first
 
-    def test_blas_thread_count_invisible_in_compare_bytes(self, tmp_path):
+    def test_blas_thread_count_invisible_in_compare_reference_verify_bytes(self, tmp_path):
         # A 300-row block at d = 100 makes the iterate and sampling products large
-        # enough for OpenBLAS to split them over threads. (reference is left out:
-        # its Monte Carlo reductions change in the last digits.)
-        config = {"n": 200, "d": 100, "trials": 300, "replicates": 300, "master_seed": 1}
+        # enough for OpenBLAS to split them over threads. At d = 100 it would also
+        # split the moment-matrix sum and the conjugation into vbar, even at 1000
+        # Monte Carlo draws; reference and verify both build that covariance.
+        config = {"n": 200, "d": 100, "trials": 300, "replicates": 300, "master_seed": 1,
+                  "mc_m_estimate": 1000, "mc_chisq": 1000}
         outputs = []
         for blas_threads in ("1", "2"):
             run_dir = tmp_path / f"blas{blas_threads}"
             run_dir.mkdir()
             (run_dir / "config.json").write_text(json.dumps(config))
-            proc = run_module(["compare", "--config", "config.json", "--out", "out"],
-                              run_dir, OPENBLAS_NUM_THREADS=blas_threads)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(read_all(run_dir / "out"))
-        assert len(outputs[0]) == 6
+            files = {}
+            for command in ("compare", "reference", "verify"):
+                proc = run_module([command, "--config", "config.json", "--out", command],
+                                  run_dir, OPENBLAS_NUM_THREADS=blas_threads)
+                assert proc.returncode == 0, proc.stderr
+                files[command] = read_all(run_dir / command)
+            outputs.append(files)
+        assert [len(outputs[0][c]) for c in ("compare", "reference", "verify")] == [6, 2, 1]
         assert outputs[0] == outputs[1]
 
     def test_rerun_is_byte_identical(self, config_path, tmp_path):

@@ -173,7 +173,9 @@ class TestBootstrapExperiment:
         np.testing.assert_allclose(res["v_hat"], v_hat, atol=1e-15)
 
     def test_block_boundary_is_invisible(self):
-        # more replicates than one block; values still per-replicate streams
+        # 70 replicates in one block through one time chunk, against one unsharded
+        # ensemble of per-replicate streams; test_replicates_above_the_block_cap
+        # crosses the block and chunk ends
         cfg = tiny_config(n=30, replicates=70)
         res = harness.run_bootstrap_experiment(cfg)
         mdl = cfg.spectral_model()
@@ -187,7 +189,8 @@ class TestBootstrapExperiment:
         np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
 
     def test_bitwise_equal_to_scalar_draws(self):
-        # n = 131 is not a multiple of the time chunk, 70 not one of the block
+        # n = 131 steps and 70 replicates fill part of one time chunk and one block;
+        # test_replicates_above_the_block_cap crosses the block and chunk ends
         cfg = tiny_config(n=131, d=20, replicates=70)
         res = harness.run_bootstrap_experiment(cfg)
         mdl = cfg.spectral_model()

@@ -1,5 +1,8 @@
 """Reference covariance assembly, chi-square weights, and anti-concentration."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,32 @@ from ojaboot import linalg, model, randgen, reference
 
 def kernel_model(d, c, beta, scale=1.0):
     return model.spectral_decompose(model.KernelSpec(d=d, c=c, beta=beta, scale=scale))
+
+
+def imhof_cdf(weights, x, nodes=100_001, span=2000.0):
+    """P(sum_j weights[j] xi_j <= x), xi_j iid chi-square(1), by Imhof (1961):
+    1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du with
+    theta(u) = sum_j arctan(w_j u) / 2 - x u / 2 and rho(u) = prod_j (1 + w_j^2 u^2)^(1/4),
+    by the trapezoid rule on [0, span / max weight]."""
+    w = np.asarray(weights, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+    u, h = np.linspace(0.0, span / w.max(), nodes, retstep=True)
+    u = u[1:]
+    theta = 0.5 * np.arctan(np.outer(u, w)).sum(axis=1) - 0.5 * x * u
+    rho = np.exp(0.25 * np.log1p(np.outer(u, w) ** 2).sum(axis=1))
+    f = np.sin(theta) / (u * rho)
+    f0 = 0.5 * (w.sum() - x[:, 0])  # the integrand's limit at u = 0
+    integral = h * (0.5 * f0 + f[:, :-1].sum(axis=1) + 0.5 * f[:, -1])
+    return 0.5 - integral / math.pi
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEstimateM:
@@ -52,6 +81,24 @@ class TestEstimateM:
         mdl = kernel_model(3, 0.1, 0.5)
         with pytest.raises(ValueError):
             reference.estimate_M(mdl, randgen.derive_stream(0, ("x",)), n_mc=0)
+
+    def test_chunked_sum_matches_bulk_formula(self):
+        # one chunk and a partial one; the bulk formula draws the same Z in one call
+        mdl = kernel_model(30, 0.05, 0.8, scale=2.0)
+        n_mc = reference._MC_ROWS + 37
+        m = reference.estimate_M(mdl, randgen.derive_stream(16, ("edge",)), n_mc)
+        x = randgen.derive_stream(16, ("edge",)).uniform_sym((n_mc, 30)) @ mdl.sqrt_sigma
+        s = x @ mdl.v1
+        y = x @ mdl.v_perp
+        bulk = (y * (s * s)[:, None]).T @ y / n_mc
+        assert np.linalg.norm(m - bulk) <= 1e-12 * np.linalg.norm(bulk)
+
+    def test_memory_does_not_grow_with_draws(self):
+        # a one-shot (1e5, 100) draw alone would hold 80 MB
+        mdl = kernel_model(100, 0.01, 1.0, scale=5.0)
+        peak = traced_peak_bytes(
+            lambda: reference.estimate_M(mdl, randgen.derive_stream(17, ("mem",)), 10**5))
+        assert peak < 8 * 2**20
 
 
 class TestContractionRatios:
@@ -130,7 +177,7 @@ class TestBuildReference:
         mdl = kernel_model(6, 0.5, 0.5)
         ref = reference.build_reference(mdl, randgen.derive_stream(4, ("sm",)),
                                         np.log(200), 200, n_mc=2000)
-        out = ref.summary()
+        out = ref.summary(reference.chisq_weights(ref.vbar))
         assert set(out) == {"weights", "trace", "frobenius"}
         np.testing.assert_allclose(sum(out["weights"]), out["trace"], rtol=1e-10)
         assert out["weights"] == sorted(out["weights"], reverse=True)
@@ -262,6 +309,48 @@ class TestSampleWeightedChisq:
         with pytest.raises(ValueError):
             reference.sample_weighted_chisq(
                 reference.WeightedChiSq([1.0]), randgen.derive_stream(14, ("e",)), 0)
+
+    def test_chunked_draws_equal_one_shot_draw(self):
+        w = reference.WeightedChiSq(np.linspace(2.0, 0.1, 9))
+        n_mc = reference._MC_ROWS + 37
+        d = reference.sample_weighted_chisq(w, randgen.derive_stream(18, ("edge",)), n_mc)
+        pos = w.weights.copy()  # contiguous, like the sampler's filtered copy
+        one_shot = randgen.derive_stream(18, ("edge",)).chisq1((n_mc, 9)) @ pos
+        np.testing.assert_array_equal(d, one_shot)
+
+    def test_memory_does_not_grow_with_draws(self):
+        # a one-shot (1e5, 99) draw alone would hold 79 MB
+        w = reference.WeightedChiSq(1.0 / np.arange(1, 100))
+        peak = traced_peak_bytes(
+            lambda: reference.sample_weighted_chisq(w, randgen.derive_stream(19, ("mem",)),
+                                                    10**5))
+        assert peak < 8 * 2**20
+
+    def test_matches_imhof_cdf_within_dkw_band(self):
+        w = reference.WeightedChiSq([2.0, 1.3, 0.9, 0.5, 0.3, 0.2, 0.1])
+        n_mc = 10**5
+        draws = np.sort(reference.sample_weighted_chisq(
+            w, randgen.derive_stream(20, ("imhof",)), n_mc))
+        x = w.mean * np.array([0.2, 0.5, 1.0, 1.5, 2.5])
+        ecdf = np.searchsorted(draws, x, side="right") / n_mc
+        band = math.sqrt(math.log(200.0) / (2 * n_mc))  # 99% DKW
+        assert np.abs(ecdf - imhof_cdf(w.weights, x)).max() <= band
+
+
+class TestImhofOracle:
+    x = np.array([0.05, 0.3, 1.0, 2.5, 6.0, 12.0])
+
+    def test_one_weight_is_chisq1(self):
+        exact = [math.erf(math.sqrt(v / 2)) for v in self.x]
+        np.testing.assert_allclose(imhof_cdf([1.0], self.x), exact, atol=1e-4)
+
+    def test_two_equal_weights_are_chisq2(self):
+        np.testing.assert_allclose(imhof_cdf([1.0, 1.0], self.x),
+                                   1.0 - np.exp(-self.x / 2), atol=1e-4)
+
+    def test_four_equal_weights_are_chisq4(self):
+        np.testing.assert_allclose(imhof_cdf(np.ones(4), self.x),
+                                   1.0 - np.exp(-self.x / 2) * (1.0 + self.x / 2), atol=1e-4)
 
 
 class TestAnticoncentration:
