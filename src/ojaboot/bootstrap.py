@@ -25,6 +25,7 @@ import numpy as np
 
 from . import linalg
 from .model import SpectralModel
+from .reference import contraction_ratios
 
 W_VARIANCE = 0.5
 
@@ -54,8 +55,7 @@ def bootstrap_covariance(data, model: SpectralModel, eta_n: float) -> np.ndarray
     if n < 2:
         return np.zeros((model.dim, model.dim))
     a = eta_n / n
-    lam = model.eig.eigenvalues
-    ratios = (1.0 + a * lam[1:]) / (1.0 + a * lam[0])  # (d-1,)
+    ratios = contraction_ratios(model, eta_n, n)  # (d-1,)
     coef = data @ model.v1
     proj = data @ model.v_perp
     cp = coef[:, None] * proj  # row i: V_perp^T X_i X_i^T v1

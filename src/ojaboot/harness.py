@@ -6,11 +6,11 @@ blocks and time chunks have sizes fixed by the config, so any output file is a
 pure function of the config. Aggregation is always in unit-index order and
 floats are serialized through repr, which keeps reruns byte-identical.
 
-Each runner is one pass over time that carries all its rows (trials or
-replicates) in one block of up to 512 rows, so up to that count the kernel's
-per-step overhead is paid n times, not once per block. Time is cut into chunks
-that bound memory: 256 steps for the bootstrap, and for sampling 4096 samples
-over the block's trials (4096 // rows steps).
+Each runner is one loop over `oja.advance` on blocks of up to 512 rows. Sampling
+runs each trial block through time chunks of 4096 // rows steps. The bootstrap
+loops over time: each 256-step chunk of its one dataset is drawn once and moves
+v_hat and then every replicate block, so its memory is O((chunk + replicates) d),
+not O(n d).
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stat
 
 # The row cap bounds temporaries and draw calls at very large counts; as a multiple
 # of 4 it keeps OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
-# depends on where blocks end. A bootstrap chunk takes one multiplier draw per
-# replicate. A sampling chunk (rows x steps <= _SAMPLING_ROWS samples) takes one
-# uniform draw per trial and one product by Sigma^(1/2); its two buffers hold
-# 2 x _SAMPLING_ROWS x d floats (6.6 MB at d = 100) whatever the trial count.
+# depends on where blocks end. A bootstrap chunk draws its data rows once and one
+# multiplier row per replicate. A sampling chunk (rows x steps <= _SAMPLING_ROWS)
+# takes one uniform draw per trial and one product by Sigma^(1/2); its two buffers
+# hold 2 x _SAMPLING_ROWS x d floats (6.6 MB at d = 100) whatever the trial count.
 _BLOCK = 512
 _BOOTSTRAP_STEPS = 256
 _SAMPLING_ROWS = 4096
@@ -168,41 +168,28 @@ def draw_u0(config: ExperimentConfig) -> np.ndarray:
     return oja.normalize(config.stream("u0").normal(0.0, 1.0, config.d))
 
 
-def _blocked_pass(config: ExperimentConfig, u0, label: str, count: int, steps,
-                  chunk) -> np.ndarray:
-    """The (count, d) final iterates of one pass over time from u0, at most _BLOCK rows
-    at a time. Row i owns the stream (label, i); a block of m rows advances through
-    chunks of steps(m) time steps, and chunk(streams, lo, hi) gives the samples,
-    multipliers and previous sample of steps lo..hi-1 for the block's streams."""
-    blocks = []
-    for first in range(0, count, _BLOCK):
-        streams = [config.stream(label, i) for i in range(first, min(first + _BLOCK, count))]
-        w = oja.start(u0, len(streams))
-        step = steps(len(streams))
-        for lo in range(0, config.n, step):
-            x, mult, prev = chunk(streams, lo, min(lo + step, config.n))
-            w = oja.advance(w, x, config.eta_n / config.n, mult, prev)
-        blocks.append(w)
-    return np.vstack(blocks)
-
-
 def run_sampling_experiment(config: ExperimentConfig) -> dict:
     """Fixed u0, `trials` fresh datasets, one Oja pass each; errors vs true v1.
     A trial draws its rows chunk by chunk from its own ("trial", j) stream,
     the same uniform coordinates as one bulk draw."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
+    eta = config.eta_n / config.n
     draws = np.empty(_SAMPLING_ROWS * config.d)
     x = np.empty_like(draws)
-
-    def chunk(streams, lo, hi):
-        shape = (len(streams), hi - lo, config.d)
-        size = math.prod(shape)
-        return (model.sample_paths(mdl, streams, draws[:size].reshape(shape),
-                                   x[:size].reshape(shape)), None, None)
-    w = _blocked_pass(config, u0, "trial", config.trials,
-                      lambda rows: _SAMPLING_ROWS // rows, chunk)
-    errors = np.array([oja.sin2(row, mdl.v1) for row in w])
+    blocks = []
+    for first in range(0, config.trials, _BLOCK):
+        streams = [config.stream("trial", j)
+                   for j in range(first, min(first + _BLOCK, config.trials))]
+        w = oja.start(u0, len(streams))
+        step = _SAMPLING_ROWS // len(streams)
+        for lo in range(0, config.n, step):
+            shape = (len(streams), min(step, config.n - lo), config.d)
+            size = math.prod(shape)
+            w = oja.advance(w, model.sample_paths(mdl, streams, draws[:size].reshape(shape),
+                                                  x[:size].reshape(shape)), eta)
+        blocks.append(w)
+    errors = np.array([oja.sin2(row, mdl.v1) for row in np.vstack(blocks)])
     scaled = (config.n / config.eta_n) * errors
     return {
         "cdf": stats.ecdf(errors),
@@ -218,19 +205,28 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
 
 def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     """One dataset, m multiplier-perturbed replicate chains, errors vs the
-    unperturbed estimate. Replicate i draws its multipliers from its own
-    ("w", i) stream."""
+    unperturbed estimate. The dataset streams from ("data", 0) one chunk at a
+    time; each chunk moves v_hat and then every replicate block, and is never
+    read again. Replicate i draws its multipliers from its own ("w", i) stream."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
-    data = model.sample_x(mdl, config.stream("data", 0), config.n)
-    v_hat = oja.run(data, config.n, config.eta_n, u0)
-
-    def chunk(streams, lo, hi):
-        return (data[lo:hi], bootstrap.draw_multipliers(streams, lo, hi),
-                data[lo - 1] if lo else None)
-    replicates = _blocked_pass(config, u0, "w", config.replicates,
-                               lambda rows: _BOOTSTRAP_STEPS, chunk)
-    errors = np.clip(1.0 - (replicates @ v_hat) ** 2, 0.0, 1.0)
+    eta = config.eta_n / config.n
+    data = config.stream("data", 0)
+    v_hat = oja.start(u0, 1)
+    streams = [[config.stream("w", i)
+                for i in range(first, min(first + _BLOCK, config.replicates))]
+               for first in range(0, config.replicates, _BLOCK)]
+    blocks = [oja.start(u0, len(block)) for block in streams]
+    prev = None
+    for lo in range(0, config.n, _BOOTSTRAP_STEPS):
+        hi = min(lo + _BOOTSTRAP_STEPS, config.n)
+        x = model.sample_x(mdl, data, hi - lo)
+        v_hat = oja.advance(v_hat, x, eta)
+        blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(block, lo, hi), prev)
+                  for w, block in zip(blocks, streams)]
+        prev = x[-1]
+    v_hat = v_hat[0]
+    errors = np.clip(1.0 - (np.vstack(blocks) @ v_hat) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
     return {
         "cdf": cdf,

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import linalg
 from .model import ENUMERATION_CAP, DiscreteSpec, SpectralModel, enumerate_outcomes
+from .reference import contraction_ratios
 
 
 def ordered_product(factors) -> np.ndarray:
@@ -244,10 +245,9 @@ def hajek_term_v1(data, model: SpectralModel, eta_n: float) -> np.ndarray:
     data = _as_rows(data)
     n = data.shape[0]
     a = eta_n / n
-    lam = model.eig.eigenvalues
-    ratios = (1.0 + a * lam[1:]) / (1.0 + a * lam[0])  # length d-1
+    ratios = contraction_ratios(model, eta_n, n)  # length d-1
     coef = data @ model.v1  # (x_i . v1)
     proj = data @ model.v_perp  # rows V_perp^T x_i
     powers = ratios[None, :] ** (n - 1 - np.arange(n))[:, None]  # row i: ratios^(n-i), 1-based
     acc = (powers * proj * coef[:, None]).sum(axis=0)
-    return model.v_perp @ (a / (1.0 + a * lam[0]) * acc)
+    return model.v_perp @ (a / (1.0 + a * model.lambda1) * acc)

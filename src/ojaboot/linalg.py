@@ -79,12 +79,6 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
-def operator_norm(a) -> float:
-    """Largest |eigenvalue| of a symmetric matrix."""
-    vals = np.linalg.eigvalsh(sym(a))
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
 def sqrt_psd(a, dec: EigenDecomposition | None = None) -> np.ndarray:
     """Symmetric PSD square root S of `a`, with S @ S recovering `a`.
 

@@ -9,8 +9,9 @@ only rescales and never changes the direction; we renormalize every step to
 keep ‖w‖ = 1 and avoid the (1 + eta_n lambda1 / n)^n growth of the raw
 product. The default rate rule is eta_n = log n, overridable everywhere.
 `advance`, the one streaming kernel, moves a block of iterates through a chunk
-of samples, with the `bootstrap` multiplier update when given multipliers;
-`run` is its one-row call.
+of samples, with the `bootstrap` multiplier update when given multipliers; the
+experiment runners call it directly, chunk by chunk. `run` is the library's
+one-row call over a whole dataset, not the runners' path.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
             g = dots(w, prev)
             w += eta * ((1.0 + wt) * h)[:, None] * xt
             w -= eta * (wt * g)[:, None] * prev
-        # Shared blocks of several rows round as np.linalg.norm(w, axis=1), which pins
-        # the bootstrap's bytes; other rows as np.linalg.norm of the row, as `run` does.
-        sq = (w * w).sum(axis=1) if shared and m > 1 else dots(w, w)
-        w /= np.sqrt(sq)[:, None]
+        w /= np.sqrt((w * w).sum(axis=1))[:, None]
         prev = xt
     return w
 

@@ -55,10 +55,6 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, path={self.path!r})"
 
-    def child(self, *labels) -> RngStream:
-        """Fresh stream for the sub-actor addressed by extending this path."""
-        return RngStream(self.master_seed, self.path + labels)
-
     # -- sampling primitives ------------------------------------------------
 
     def normal(self, mean: float = 0.0, variance: float = 1.0, size=None):

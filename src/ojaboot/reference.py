@@ -106,7 +106,7 @@ class WeightedChiSq:
             raise ValueError("weights must be a nonempty finite vector")
         if w.min() < -_WEIGHT_CLAMP:
             raise ValueError("weights must be nonnegative up to clamping tolerance")
-        w = np.sort(np.maximum(w, 0.0))[::-1]
+        w = np.ascontiguousarray(np.sort(np.maximum(w, 0.0))[::-1])
         object.__setattr__(self, "weights", w)
 
     @property
@@ -256,18 +256,3 @@ def anticoncentration_check(w: WeightedChiSq, h: float, stream,
     slack = 3.0 * np.sqrt(0.25 / n_mc)
     return {"max_window_prob": max_prob, "bound": bound,
             "pass": bool(max_prob <= bound + slack)}
-
-
-def spectral_discrepancy(a, b) -> dict:
-    """Trace gap, Frobenius gap, operator gap, and the scale of the first input."""
-    a = linalg.sym(np.asarray(a, dtype=float))
-    b = linalg.sym(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    diff = a - b
-    return {
-        "delta1": float(np.trace(diff)),
-        "frob": linalg.frobenius_norm(diff),
-        "op": linalg.operator_norm(diff),
-        "f": linalg.frobenius_norm(a),
-    }

@@ -4,7 +4,7 @@ the multiplier draws) and the closed-form covariance."""
 import numpy as np
 import pytest
 
-from ojaboot import bootstrap, hoeffding, model, oja, randgen, reference
+from ojaboot import bootstrap, hoeffding, model, oja, randgen
 
 
 def scalar_update(v, x_t, prev_x, eta, w):
@@ -264,18 +264,3 @@ class TestBootstrapCovariance:
         m = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
             bootstrap.bootstrap_covariance(np.ones((5, 3)), m, 1.0)
-
-
-class TestDiscrepancy:
-    def test_self_comparison_is_zero(self):
-        a = np.diag([1.0, 0.5, 0.2, 0.1])
-        out = reference.spectral_discrepancy(a, a)
-        assert (out["delta1"], out["frob"], out["op"]) == (0.0, 0.0, 0.0)
-
-    def test_frob_dominates_op(self):
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            a = rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4))
-            out = reference.spectral_discrepancy(a + a.T, b + b.T)
-            assert out["frob"] >= out["op"] - 1e-12

@@ -1,6 +1,7 @@
 """Experiment config, run orchestration, verification suite, and file writers."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -26,6 +27,15 @@ def scalar_draw_replicates(data, u0, eta, streams):
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         prev = x
     return r
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_config(**overrides):
@@ -211,6 +221,24 @@ class TestBootstrapExperiment:
                                       [cfg.stream("w", i) for i in range(520)])
         np.testing.assert_array_equal(res["errors"],
                                       np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
+
+    def test_v_hat_is_one_pass_over_the_chunked_data(self):
+        # n = 600 crosses two chunk ends and is not a multiple of the chunk
+        cfg = tiny_config(n=600, d=5, replicates=3)
+        res = harness.run_bootstrap_experiment(cfg)
+        mdl = cfg.spectral_model()
+        stream = cfg.stream("data", 0)
+        step = harness._BOOTSTRAP_STEPS
+        data = np.vstack([model.sample_x(mdl, stream, min(step, cfg.n - lo))
+                          for lo in range(0, cfg.n, step)])
+        v_hat = oja.run(data, cfg.n, cfg.eta_n, harness.draw_u0(cfg))
+        np.testing.assert_array_equal(res["v_hat"], v_hat)
+
+    def test_memory_does_not_grow_with_n(self):
+        # the (8000, 100) dataset alone would hold 6.1 MiB
+        cfg = tiny_config(n=8000, d=100, replicates=4)
+        peak = traced_peak_bytes(lambda: harness.run_bootstrap_experiment(cfg))
+        assert peak < 4 * 2**20
 
 
 class TestReferenceRun:

@@ -190,7 +190,7 @@ class TestEnergyDecay:
         # ratio bound eta_n^2 M_d / n with exact M_d over the support
         spec = three_point_law()
         eta_n, n = 0.5, 4
-        md = sum(p * linalg.operator_norm(np.outer(x, x) - spec.sigma) ** 2
+        md = sum(p * np.abs(np.linalg.eigvalsh(np.outer(x, x) - spec.sigma)).max() ** 2
                  for x, p in zip(spec.support, spec.probs))
         bound = eta_n**2 * md / n
         assert bound < 1.0

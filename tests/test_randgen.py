@@ -27,12 +27,6 @@ class TestDeriveStream:
         again = randgen.derive_stream(7, ("trial", 3, "replicate", 7)).normal(0.0, 0.5, 5)
         np.testing.assert_array_equal(first, again)
 
-    def test_child_extends_path(self):
-        root = randgen.derive_stream(5, ("data",))
-        child = root.child(2)
-        direct = randgen.derive_stream(5, ("data", 2))
-        np.testing.assert_array_equal(child.uniform_sym(8), direct.uniform_sym(8))
-
     def test_int_and_str_labels_are_distinct(self):
         a = randgen.derive_stream(1, (5,)).normal(0.0, 1.0, 8)
         b = randgen.derive_stream(1, ("5",)).normal(0.0, 1.0, 8)
