@@ -287,12 +287,12 @@ def _check_hoeffding(config: ExperimentConfig, with_multipliers: bool) -> dict:
                 data = model.sample_x(mdl, st, n)
                 if with_multipliers:
                     w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
-                    total, _ = hoeffding.bootstrap_hoeffding_sum(data, w, eta)
-                    direct = hoeffding.bootstrap_direct_product(data, w, eta)
+                    total, _ = hoeffding.hoeffding_sum(data, eta, weights=w)
+                    direct = hoeffding.direct_product(data, eta, weights=w)
                 else:
                     # The subset terms can cancel by a factor of ~4e6 here, enough for
                     # float64 roundoff alone to cross the bound; evaluate exactly.
-                    total, _ = hoeffding.hoeffding_sum(data, mdl.sigma, eta, exact=True)
+                    total, _ = hoeffding.hoeffding_sum(data, eta, sigma=mdl.sigma, exact=True)
                     direct = hoeffding.direct_product(data, eta, exact=True)
                 err = (linalg.frobenius_norm(total - direct)
                        / max(1.0, linalg.frobenius_norm(direct)))

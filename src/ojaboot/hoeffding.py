@@ -1,30 +1,27 @@
-"""Exact subset-enumeration oracles for decomposing the streamed matrix product.
+"""Exact subset-enumeration oracles for decomposing the streamed matrix products.
 
-The product B_n = (I + a X_n X_n^T) ... (I + a X_1 X_1^T), a = eta_n / n, is
-what the Oja run applies to u0 (sample 1 acts first, later factors multiply on
-the left; every builder here composes factors through the same helper, so the
-identities below are ordering-consistent). Expanding each factor as
-(I + a Sigma) + a(X_i X_i^T - Sigma) and distributing gives one term per
-subset S of indices:
+The Oja run applies F_n ... F_1 to u0 (sample 1 acts first; `ordered_product`
+composes every product here that way). Writing each factor as a pair
+F_i = A_i + B_i and distributing gives one term per subset S of the indices
+with an increment B_i: the product is sum_S H(S), where H(S) has B_i at i in S
+and A_i elsewhere. `factor_pairs` builds the pairs once per sum; a = eta_n / n.
 
-    B_n = sum_S H(S),  H(S) = product with a(X_i X_i^T - Sigma) at i in S
-                              and I + a Sigma elsewhere,
+- Plain, F_i = I + a X_i X_i^T: A_i = I + a Sigma, B_i = a(X_i X_i^T - Sigma).
+  The order-k sums T_k = sum_{|S|=k} H(S) are mutually orthogonal in
+  expectation (trace inner product).
+- Bootstrap, F_i = I + a(X_i X_i^T + W_i Delta_i): A_i = I + a X_i X_i^T,
+  B_i = a W_i Delta_i, Delta_i = X_i X_i^T - X_{i-1} X_{i-1}^T. B_1 is None:
+  no sample precedes index 1 (the bootstrap module's first-step convention).
 
-the decomposition whose order-k sums T_k = sum_{|S|=k} H(S) are mutually
-orthogonal in expectation (trace inner product). The bootstrap product has the
-same structure with multiplier increments a W_i (X_i X_i^T - X_{i-1} X_{i-1}^T)
-in place of the centered factors; index 1 never enters a subset because there
-is no sample before it (first-step convention, shared with the bootstrap
-module).
-
-These builders are ground truth for tests and the verify suite: exactness, not
-scale, is the point. Enumeration is capped at 2^n <= 10^6 subsets
-(model.ENUMERATION_CAP), so n <= 19. In float64 the subset terms can cancel by
-a factor of 1e6 or more (sum_S ||H(S)|| against ||B_n||), so `hoeffding_sum`
-and `direct_product` also take exact=True. Then they evaluate in rational
-arithmetic (fractions.Fraction) and return object arrays of rationals. A float
-is a dyadic rational, so the inputs convert without loss and sum_S H(S) equals
-B_n with no rounding at all.
+`direct_product` multiplies the F_i as written, never through the pairs, so a
+wrong pair cannot cancel out of the identity it checks. These builders are
+ground truth for tests and the verify suite. Enumeration is capped at
+2^n <= 10^6 subsets (model.ENUMERATION_CAP), so n <= 19. In float64 the terms
+can cancel by a factor of 1e6 or more (sum_S ||H(S)|| against the product), so
+`hoeffding_sum` and `direct_product` take exact=True: a float is a dyadic
+rational, so the inputs become Fractions without loss, are scaled to integers
+over one common denominator, multiplied and summed as integers, and returned
+as object arrays of Fractions, with no rounding at all.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,25 +39,14 @@ from .reference import contraction_ratios
 
 
 def ordered_product(factors) -> np.ndarray:
-    """Compose factors so that factors[0] acts first: factors[-1] @ ... @ factors[0].
-
-    Rational factors (object arrays) are multiplied as integers over one common
-    denominator, which skips the gcd that every Fraction operation pays.
-    """
+    """Compose factors so that factors[0] acts first: factors[-1] @ ... @ factors[0]."""
     factors = list(factors)
     if not factors:
         raise ValueError("need the dimension from at least one factor")
-    if factors[0].dtype != object:
-        out = np.eye(factors[0].shape[0])
-        for f in factors:
-            out = f @ out
-        return out
-    den = math.lcm(*(v.denominator for f in factors for v in f.flat))
-    out = np.eye(factors[0].shape[0], dtype=object)
+    out = np.eye(factors[0].shape[0], dtype=factors[0].dtype)
     for f in factors:
-        out = _map(lambda v: v.numerator * (den // v.denominator), f) @ out
-    scale = den ** len(factors)
-    return _map(lambda v: Fraction(v, scale), out)
+        out = f @ out
+    return out
 
 
 def _map(fn, a: np.ndarray) -> np.ndarray:
@@ -80,73 +65,77 @@ def _exact(a) -> np.ndarray:
     return _map(Fraction, np.asarray(a, dtype=float))
 
 
-def _require_exact(m: np.ndarray) -> np.ndarray:
+def _integers(mats):
+    """([den * m for m in mats], den) for rational matrices, den their least
+    common denominator; None passes through. Integer products skip the gcd that
+    every Fraction operation pays."""
+    den = math.lcm(*(v.denominator for m in mats if m is not None for v in m.flat))
+    return [None if m is None else _map(lambda v: v.numerator * (den // v.denominator), m)
+            for m in mats], den
+
+
+def _fractions(m: np.ndarray, den: int) -> np.ndarray:
     # Fraction + float is a float, so a stray float would otherwise pass silently.
     if not all(isinstance(v, numbers.Rational) for v in m.flat):
         raise TypeError("a float entered an exact evaluation")
-    return m
+    return _map(lambda v: Fraction(v, den), m)
 
 
-def direct_product(data, eta_n: float, n: int | None = None, exact: bool = False) -> np.ndarray:
-    """B_n for the first n rows of data; n = 0 gives the identity."""
+def _prepare(data, eta_n: float, weights, exact: bool):
+    """(rows, a = eta_n / n, weights, identity), all rational when exact."""
     data = _as_rows(data)
-    if n is None:
-        n = data.shape[0]
-    if n > data.shape[0]:
-        raise ValueError(f"need {n} samples, got {data.shape[0]}")
-    data = data[:n]
+    n = data.shape[0]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValueError("need one weight per sample")
     if exact:
         data, eta_n = _exact(data), Fraction(eta_n)
-    eye = np.eye(data.shape[1], dtype=data.dtype)
-    if n == 0:
+        weights = None if weights is None else _exact(weights)
+    # zero rows give no factor for a to scale
+    return data, eta_n / max(n, 1), weights, np.eye(data.shape[1], dtype=data.dtype)
+
+
+def direct_product(data, eta_n: float, weights=None, exact: bool = False) -> np.ndarray:
+    """F_n ... F_1 with F_i = I + a X_i X_i^T, plus a W_i Delta_i for i >= 2 when
+    weights are given; zero rows give the identity."""
+    data, a, weights, eye = _prepare(data, eta_n, weights, exact)
+    if data.shape[0] == 0:
         return eye
-    a = eta_n / n
-    return ordered_product(eye + a * np.outer(x, x) for x in data)
-
-
-@dataclass(frozen=True, eq=False)
-class SubsetTermSpec:
-    """One subset's factor recipe. Indices in s are 1-based; weights are the
-    bootstrap multipliers (weights[0] is never used: index 1 cannot be in s).
-    Object-array data and sigma with a Fraction eta_n give an exact term; sigma
-    must then already be symmetric."""
-
-    s: frozenset
-    n: int
-    eta_n: float
-    sigma: np.ndarray
-    data: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not all(1 <= i <= self.n for i in self.s):
-            raise ValueError(f"subset {sorted(self.s)} not within 1..{self.n}")
-        if self.data.shape[0] < self.n:
-            raise ValueError("not enough data rows")
-        if self.weights is not None and 1 in self.s:
-            raise ValueError("index 1 cannot carry a multiplier increment (no previous sample)")
-
-
-def hoeffding_term(spec: SubsetTermSpec) -> np.ndarray:
-    """H(S), or its bootstrap counterpart when weights are present."""
-    a = spec.eta_n / spec.n
-    d = spec.data.shape[1]
-    eye = np.eye(d, dtype=spec.data.dtype)
-    sigma = spec.sigma if spec.data.dtype == object else linalg.sym(spec.sigma)
-    base = eye + a * sigma
     factors = []
-    for i in range(1, spec.n + 1):
-        x = spec.data[i - 1]
-        if spec.weights is None:
-            factors.append(a * (np.outer(x, x) - spec.sigma) if i in spec.s else base)
-        else:
-            if i in spec.s:
-                prev = spec.data[i - 2]
-                delta = np.outer(x, x) - np.outer(prev, prev)
-                factors.append(a * spec.weights[i - 1] * delta)
-            else:
-                factors.append(eye + a * np.outer(x, x))
-    return ordered_product(factors)
+    for i, x in enumerate(data):
+        f = eye + a * np.outer(x, x)
+        if weights is not None and i > 0:
+            f = f + a * weights[i] * (np.outer(x, x) - np.outer(data[i - 1], data[i - 1]))
+        factors.append(f)
+    if not exact:
+        return ordered_product(factors)
+    ints, den = _integers(factors)
+    return _fractions(ordered_product(ints), den ** len(ints))
+
+
+def factor_pairs(data, eta_n: float, sigma=None, weights=None, exact: bool = False) -> list:
+    """[(A_i, B_i)] for i = 1..n: the plain pairs from sigma, or the bootstrap
+    pairs from weights (B_1 is then None). Exactly one of the two is given."""
+    if (sigma is None) == (weights is None):
+        raise ValueError("give exactly one of sigma (plain) and weights (bootstrap)")
+    data, a, weights, eye = _prepare(data, eta_n, weights, exact)
+    outer = [np.outer(x, x) for x in data]
+    if weights is None:
+        sigma = _exact(linalg.sym(sigma)) if exact else linalg.sym(sigma)
+        base = eye + a * sigma
+        return [(base, a * (xx - sigma)) for xx in outer]
+    return [(eye + a * xx, None if i == 0 else a * weights[i] * (xx - outer[i - 1]))
+            for i, xx in enumerate(outer)]
+
+
+def hoeffding_term(pairs, s) -> np.ndarray:
+    """H(S): the ordered product of B_i for i in s (1-based) and A_i elsewhere."""
+    for i in s:
+        if not 1 <= i <= len(pairs) or pairs[i - 1][1] is None:
+            raise ValueError(f"index {i} is not within 1..{len(pairs)} or has no increment "
+                             "(bootstrap index 1 has no previous sample)")
+    return ordered_product(b if i in s else a for i, (a, b) in enumerate(pairs, 1))
 
 
 def _check_enumeration_size(n: int):
@@ -156,59 +145,23 @@ def _check_enumeration_size(n: int):
                          f"(2^n <= {ENUMERATION_CAP}), got {n}")
 
 
-def hoeffding_sum(data, sigma, eta_n: float, exact: bool = False):
-    """(sum of all H(S), [T_0, ..., T_n]) with T_k the order-k subset sum."""
-    data = _as_rows(data)
-    n = data.shape[0]
-    _check_enumeration_size(n)
-    sigma = linalg.sym(sigma)
+def hoeffding_sum(data, eta_n: float, sigma=None, weights=None, exact: bool = False):
+    """(sum of all H(S), [T_0, ..., T_m]) with T_k the order-k subset sum and m
+    the number of indices with an increment: n plain, n - 1 bootstrap."""
+    pairs = factor_pairs(data, eta_n, sigma, weights, exact)
+    _check_enumeration_size(len(pairs))
     if exact:
-        data, sigma, eta_n = _exact(data), _exact(sigma), Fraction(eta_n)
-    d = data.shape[1]
-    terms = [np.zeros((d, d), dtype=data.dtype) for _ in range(n + 1)]
-    for k in range(n + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            spec = SubsetTermSpec(s=frozenset(combo), n=n, eta_n=eta_n, sigma=sigma, data=data)
-            terms[k] += hoeffding_term(spec)
-    total = np.sum(terms, axis=0)
-    return (_require_exact(total) if exact else total), terms
-
-
-def bootstrap_direct_product(data, weights, eta_n: float) -> np.ndarray:
-    """Product of I + a(X_i X_i^T + W_i Delta_i) factors; Delta_1 is absent."""
-    data = _as_rows(data)
-    n = data.shape[0]
-    a = eta_n / n
-    d = data.shape[1]
-    factors = []
-    for i in range(n):
-        f = np.eye(d) + a * np.outer(data[i], data[i])
-        if i > 0:
-            delta = np.outer(data[i], data[i]) - np.outer(data[i - 1], data[i - 1])
-            f = f + a * weights[i] * delta
-        factors.append(f)
-    return ordered_product(factors)
-
-
-def bootstrap_hoeffding_sum(data, weights, eta_n: float):
-    """(sum over subsets of {2..n}, [T*_0, ..., T*_{n-1}]) for the bootstrap product."""
-    data = _as_rows(data)
-    n = data.shape[0]
-    _check_enumeration_size(n)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != n:
-        raise ValueError("need one weight per sample")
-    d = data.shape[1]
-    terms = [np.zeros((d, d)) for _ in range(n)]
-    for k in range(n):
-        for combo in itertools.combinations(range(2, n + 1), k):
-            spec = SubsetTermSpec(
-                s=frozenset(combo), n=n, eta_n=eta_n,
-                sigma=np.zeros((d, d)), data=data, weights=weights,
-            )
-            terms[k] += hoeffding_term(spec)
-    total = np.sum(terms, axis=0)
-    return total, terms
+        ints, den = _integers([m for pair in pairs for m in pair])
+        pairs = list(zip(ints[::2], ints[1::2]))
+    idx = [i for i, (_, b) in enumerate(pairs, 1) if b is not None]
+    terms = [np.zeros_like(pairs[0][0]) for _ in range(len(idx) + 1)]
+    for k in range(len(idx) + 1):
+        for combo in itertools.combinations(idx, k):
+            terms[k] += hoeffding_term(pairs, frozenset(combo))
+    if exact:
+        scale = den ** len(pairs)
+        terms = [_fractions(t, scale) for t in terms]
+    return np.sum(terms, axis=0), terms
 
 
 def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:
@@ -222,10 +175,10 @@ def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:
     m = len(subsets)
     gram = np.zeros((m, m))
     for outcome, p in enumerate_outcomes(spec, n):
+        pairs = factor_pairs(outcome, eta_n, sigma=sigma)
         flat = np.empty((m, d * d))
         for a, s in enumerate(subsets):
-            term_spec = SubsetTermSpec(s=s, n=n, eta_n=eta_n, sigma=sigma, data=outcome)
-            flat[a] = hoeffding_term(term_spec).ravel()
+            flat[a] = hoeffding_term(pairs, s).ravel()
         gram += p * (flat @ flat.T)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))

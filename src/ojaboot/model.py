@@ -154,20 +154,15 @@ def spectral_decompose(spec: CovarianceSpec) -> SpectralModel:
     )
 
 
-def sample_x(model: SpectralModel, stream: RngStream, size: int | None = None) -> np.ndarray:
-    """Draw from the model's law: one vector, or an (size, d) matrix of rows."""
-    d = model.dim
+def sample_x(model: SpectralModel, stream: RngStream, size: int) -> np.ndarray:
+    """Draw a (size, d) matrix of rows from the model's law."""
     law = model.sampling_law
     if isinstance(law, DiscreteSpec):
-        n = 1 if size is None else size
         cum = np.cumsum(law.probs)
-        idx = np.minimum(np.searchsorted(cum, stream.uniform01(n), side="right"),
+        idx = np.minimum(np.searchsorted(cum, stream.uniform01(size), side="right"),
                          law.probs.size - 1)
-        draws = law.support[idx]
-        return draws[0] if size is None else draws
-    if size is None:
-        return model.sqrt_sigma @ stream.uniform_sym(d)
-    return stream.uniform_sym((size, d)) @ model.sqrt_sigma
+        return law.support[idx]
+    return stream.uniform_sym((size, model.dim)) @ model.sqrt_sigma
 
 
 def sample_paths(model: SpectralModel, streams, draws: np.ndarray, out: np.ndarray):

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg, model, stats
 
 MC_DEFAULT = 10**5
-GRID_POINTS_DEFAULT = 200
+_GRID_POINTS = 200
 
 # |1 - r| below this switches the geometric sum to its n-term limit
 _TIE_TOL = 1e-12
@@ -230,8 +230,7 @@ def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
 
 
 def anticoncentration_check(w: WeightedChiSq, h: float, stream,
-                            n_mc: int = MC_DEFAULT,
-                            grid_points: int = GRID_POINTS_DEFAULT) -> dict:
+                            n_mc: int = MC_DEFAULT) -> dict:
     """Empirically test the window-probability bound sqrt(4h/pi).
 
     Weights are first normalized so their squares sum to one, which is the
@@ -241,14 +240,12 @@ def anticoncentration_check(w: WeightedChiSq, h: float, stream,
     """
     if h <= 0.0:
         raise ValueError("window width must be positive")
-    if grid_points < 1:
-        raise ValueError("need at least one grid point")
     norm = float(np.sqrt(np.sum(w.weights**2)))
     if norm == 0.0:
         raise ValueError("anticoncentration needs a nonzero weight")
     draws = np.sort(sample_weighted_chisq(WeightedChiSq(w.weights / norm), stream, n_mc))
     cdf = stats.EmpiricalCdf(draws)
-    grid = np.linspace(cdf.quantile(0.001), cdf.quantile(0.999), grid_points)
+    grid = np.linspace(cdf.quantile(0.001), cdf.quantile(0.999), _GRID_POINTS)
     counts = (np.searchsorted(draws, grid + h, side="right")
               - np.searchsorted(draws, grid, side="left"))
     max_prob = float(counts.max() / n_mc)

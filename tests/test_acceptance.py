@@ -70,7 +70,7 @@ def figure_runs(tmp_path_factory):
 def test_criterion_01_hoeffding_exactness():
     worst = 0.0
     for k, n, d, eta, mdl, data in _instances():
-        total, _ = hoeffding.hoeffding_sum(data, mdl.sigma, eta)
+        total, _ = hoeffding.hoeffding_sum(data, eta, sigma=mdl.sigma)
         direct = hoeffding.direct_product(data, eta)
         err = (linalg.frobenius_norm(total - direct)
                / max(1.0, linalg.frobenius_norm(direct)))
@@ -84,8 +84,8 @@ def test_criterion_02_bootstrap_hoeffding_exactness():
     for k, n, d, eta, mdl, data in _instances():
         w_stream = randgen.derive_stream(SEED, ("acc", "w", k))
         weights = np.concatenate([[0.0], w_stream.normal(0.0, 0.5, n - 1)])
-        total, _ = hoeffding.bootstrap_hoeffding_sum(data, weights, eta)
-        direct = hoeffding.bootstrap_direct_product(data, weights, eta)
+        total, _ = hoeffding.hoeffding_sum(data, eta, weights=weights)
+        direct = hoeffding.direct_product(data, eta, weights=weights)
         err = (linalg.frobenius_norm(total - direct)
                / max(1.0, linalg.frobenius_norm(direct)))
         worst = max(worst, err)

@@ -203,7 +203,7 @@ class TestRunBootstrap:
         # the first column is never read: step 1 has no previous sample
         rep = oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :])
         weights = np.concatenate([[0.0], wseq[1:]])
-        b = hoeffding.bootstrap_direct_product(data, weights, eta_n)
+        b = hoeffding.direct_product(data, eta_n, weights=weights)
         ref = oja.normalize(b @ u0)
         assert abs(rep[0] @ ref) >= 1.0 - 1e-10
 

@@ -71,7 +71,7 @@ class TestExitCodes:
         from ojaboot import hoeffding
         orig = hoeffding.hoeffding_term
         monkeypatch.setattr(hoeffding, "hoeffding_term",
-                            lambda spec: -orig(spec) if spec.s else orig(spec))
+                            lambda pairs, s: -orig(pairs, s) if s else orig(pairs, s))
         assert cli.main(["verify", "--config", str(config_path)]) == 1
 
 

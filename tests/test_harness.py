@@ -305,15 +305,29 @@ class TestVerify:
     def test_injected_sign_error_is_caught(self, monkeypatch):
         orig = hoeffding.hoeffding_term
 
-        def botched(spec):
-            out = orig(spec)
-            return -out if spec.s else out
+        def botched(pairs, s):
+            out = orig(pairs, s)
+            return -out if s else out
 
         monkeypatch.setattr(hoeffding, "hoeffding_term", botched)
         report = harness.verify(tiny_config(d=6))
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["hoeffding_exactness"]["passed"]
         assert not report["passed"]
+
+    def test_direct_product_does_not_use_the_pairs(self, monkeypatch):
+        # direct_product multiplies the factors as written, so negating every
+        # increment B_i breaks both identities instead of cancelling out of them
+        orig = hoeffding.factor_pairs
+
+        def flipped(*args, **kwargs):
+            return [(a, None if b is None else -b) for a, b in orig(*args, **kwargs)]
+
+        monkeypatch.setattr(hoeffding, "factor_pairs", flipped)
+        by_name = {c["name"]: c for c in harness.verify(tiny_config(d=6))["checks"]}
+        assert not by_name["hoeffding_exactness"]["passed"]
+        assert not by_name["bootstrap_hoeffding_exactness"]["passed"]
+        assert by_name["orthogonality"]["passed"]
 
     def test_hoeffding_exactness_survives_cancellation(self):
         # Default config, seed 5: the n=6, d=3, eta=log 6 case sums subset terms

@@ -25,7 +25,7 @@ def rel_frob(a, b):
 class TestDirectProduct:
     def test_empty_product_is_identity(self):
         np.testing.assert_array_equal(
-            hoeffding.direct_product(np.zeros((0, 3)), eta_n=1.0, n=0), np.eye(3))
+            hoeffding.direct_product(np.zeros((0, 3)), eta_n=1.0), np.eye(3))
 
     def test_single_factor(self):
         x = np.array([1.0, 2.0])
@@ -53,17 +53,17 @@ class TestHoeffdingTerm:
         rng = np.random.default_rng(2)
         sigma = linalg.sym(rng.standard_normal((3, 3)))
         data = rng.standard_normal((4, 3))
-        spec = hoeffding.SubsetTermSpec(s=frozenset(), n=4, eta_n=1.2, sigma=sigma, data=data)
+        pairs = hoeffding.factor_pairs(data, 1.2, sigma=sigma)
         expected = np.linalg.matrix_power(np.eye(3) + 0.3 * sigma, 4)
-        np.testing.assert_allclose(hoeffding.hoeffding_term(spec), expected, atol=1e-12)
+        np.testing.assert_allclose(hoeffding.hoeffding_term(pairs, frozenset()), expected,
+                                   atol=1e-12)
 
     def test_single_index_n1(self):
         x = np.array([2.0, -1.0])
         sigma = np.diag([1.0, 1.0])
-        spec = hoeffding.SubsetTermSpec(
-            s=frozenset({1}), n=1, eta_n=0.9, sigma=sigma, data=x[None, :])
+        pairs = hoeffding.factor_pairs(x[None, :], 0.9, sigma=sigma)
         np.testing.assert_allclose(
-            hoeffding.hoeffding_term(spec), 0.9 * (np.outer(x, x) - sigma))
+            hoeffding.hoeffding_term(pairs, frozenset({1})), 0.9 * (np.outer(x, x) - sigma))
 
     def test_middle_index_n3(self):
         rng = np.random.default_rng(3)
@@ -72,20 +72,21 @@ class TestHoeffdingTerm:
         a = 0.6 / 3
         base = np.eye(2) + a * sigma
         expected = base @ (a * (np.outer(data[1], data[1]) - sigma)) @ base
-        spec = hoeffding.SubsetTermSpec(s=frozenset({2}), n=3, eta_n=0.6, sigma=sigma, data=data)
-        np.testing.assert_allclose(hoeffding.hoeffding_term(spec), expected, atol=1e-13)
+        pairs = hoeffding.factor_pairs(data, 0.6, sigma=sigma)
+        np.testing.assert_allclose(hoeffding.hoeffding_term(pairs, frozenset({2})), expected,
+                                   atol=1e-13)
 
     def test_subset_bounds_validated(self):
+        pairs = hoeffding.factor_pairs(np.zeros((3, 2)), 1.0, sigma=np.eye(2))
         with pytest.raises(ValueError):
-            hoeffding.SubsetTermSpec(
-                s=frozenset({5}), n=3, eta_n=1.0, sigma=np.eye(2), data=np.zeros((3, 2)))
+            hoeffding.hoeffding_term(pairs, frozenset({5}))
 
 
 class TestHoeffdingSum:
     def test_n1_binomial_identity(self):
         x = np.array([1.5, -0.5])
         sigma = np.diag([2.0, 1.0])
-        total, terms = hoeffding.hoeffding_sum(x[None, :], sigma, eta_n=0.8)
+        total, terms = hoeffding.hoeffding_sum(x[None, :], eta_n=0.8, sigma=sigma)
         np.testing.assert_allclose(total, np.eye(2) + 0.8 * np.outer(x, x), atol=1e-14)
         np.testing.assert_allclose(terms[0], np.eye(2) + 0.8 * sigma)
         np.testing.assert_allclose(terms[1], 0.8 * (np.outer(x, x) - sigma))
@@ -95,55 +96,61 @@ class TestHoeffdingSum:
         rng = np.random.default_rng(10 * n + d)
         data = rng.standard_normal((n, d)) * 1.3
         sigma = linalg.sym(rng.standard_normal((d, d)))
-        total, terms = hoeffding.hoeffding_sum(data, sigma, eta_n)
+        total, terms = hoeffding.hoeffding_sum(data, eta_n, sigma=sigma)
         b = hoeffding.direct_product(data, eta_n)
         assert np.linalg.norm(total - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
         assert len(terms) == n + 1
 
-    def test_exact_decomposition_has_no_gap(self):
+    @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
+    def test_exact_decomposition_has_no_gap(self, kind):
         rng = np.random.default_rng(5)
-        data = rng.standard_normal((5, 3)) * 5.0
-        sigma = linalg.sym(rng.standard_normal((3, 3)))
-        total, _ = hoeffding.hoeffding_sum(data, sigma, np.log(5), exact=True)
-        b = hoeffding.direct_product(data, np.log(5), exact=True)
+        n = 5 if kind == "plain" else 6
+        data = rng.standard_normal((n, 3)) * 5.0
+        if kind == "plain":
+            sum_args, product_args = {"sigma": linalg.sym(rng.standard_normal((3, 3)))}, {}
+        else:
+            sum_args = product_args = {"weights": rng.standard_normal(n)}
+        total, _ = hoeffding.hoeffding_sum(data, np.log(n), **sum_args, exact=True)
+        b = hoeffding.direct_product(data, np.log(n), **product_args, exact=True)
         assert all(isinstance(v, Fraction) for v in total.flat)
         assert np.array_equal(total, b)
-        np.testing.assert_allclose(b.astype(float), hoeffding.direct_product(data, np.log(5)),
+        np.testing.assert_allclose(b.astype(float),
+                                   hoeffding.direct_product(data, np.log(n), **product_args),
                                    rtol=1e-12)
 
     def test_exact_sum_rejects_a_float_term(self, monkeypatch):
         monkeypatch.setattr(hoeffding, "hoeffding_term",
-                            lambda spec: np.ones((2, 2)) if spec.s else np.zeros((2, 2)))
+                            lambda pairs, s: np.ones((2, 2)) if s else np.zeros((2, 2)))
         with pytest.raises(TypeError, match="float"):
-            hoeffding.hoeffding_sum(np.ones((2, 2)), np.eye(2), 1.0, exact=True)
+            hoeffding.hoeffding_sum(np.ones((2, 2)), 1.0, sigma=np.eye(2), exact=True)
 
     def test_t0_always_the_sigma_power(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((5, 2))
         sigma = np.diag([1.0, 0.3])
-        _, terms = hoeffding.hoeffding_sum(data, sigma, eta_n=2.0)
+        _, terms = hoeffding.hoeffding_sum(data, eta_n=2.0, sigma=sigma)
         np.testing.assert_allclose(
             terms[0], np.linalg.matrix_power(np.eye(2) + 0.4 * sigma, 5), atol=1e-12)
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            hoeffding.hoeffding_sum(np.zeros((21, 2)), np.eye(2), 1.0)
+            hoeffding.hoeffding_sum(np.zeros((21, 2)), 1.0, sigma=np.eye(2))
         # 2^20 > 10^6 subsets, so 19 is the largest n the cap admits
         with pytest.raises(ValueError, match=r"capped at n = 19 .*got 20"):
-            hoeffding.hoeffding_sum(np.zeros((20, 2)), np.eye(2), 1.0)
+            hoeffding.hoeffding_sum(np.zeros((20, 2)), 1.0, sigma=np.eye(2))
 
 
 class TestBootstrapHoeffding:
     def test_zero_weights_collapse_to_plain_product(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((5, 2))
-        total, _ = hoeffding.bootstrap_hoeffding_sum(data, np.zeros(5), eta_n=1.1)
+        total, _ = hoeffding.hoeffding_sum(data, eta_n=1.1, weights=np.zeros(5))
         np.testing.assert_allclose(total, hoeffding.direct_product(data, 1.1), atol=1e-12)
 
     def test_zero_increment_collapses(self):
         x = np.array([1.0, 0.5])
         data = np.stack([x, x])
-        total, _ = hoeffding.bootstrap_hoeffding_sum(data, np.array([0.0, 1.0]), eta_n=0.9)
+        total, _ = hoeffding.hoeffding_sum(data, eta_n=0.9, weights=np.array([0.0, 1.0]))
         np.testing.assert_allclose(total, hoeffding.direct_product(data, 0.9), atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(5, 2), (6, 3)])
@@ -151,16 +158,15 @@ class TestBootstrapHoeffding:
         rng = np.random.default_rng(100 + n)
         data = rng.standard_normal((n, d))
         weights = rng.standard_normal(n)
-        total, terms = hoeffding.bootstrap_hoeffding_sum(data, weights, eta_n=np.log(n))
-        direct = hoeffding.bootstrap_direct_product(data, weights, eta_n=np.log(n))
+        total, terms = hoeffding.hoeffding_sum(data, eta_n=np.log(n), weights=weights)
+        direct = hoeffding.direct_product(data, eta_n=np.log(n), weights=weights)
         assert rel_frob(total, direct) <= 1e-10
         assert len(terms) == n
 
     def test_index_one_never_in_subset(self):
+        pairs = hoeffding.factor_pairs(np.ones((2, 2)), 1.0, weights=np.ones(2))
         with pytest.raises(ValueError, match="index 1"):
-            hoeffding.SubsetTermSpec(
-                s=frozenset({1}), n=2, eta_n=1.0, sigma=np.zeros((2, 2)),
-                data=np.ones((2, 2)), weights=np.ones(2))
+            hoeffding.hoeffding_term(pairs, frozenset({1}))
 
 
 class TestOrthogonality:
@@ -179,8 +185,8 @@ class TestOrthogonality:
         n = 3
         energy = 0.0
         for outcome, p in model.enumerate_outcomes(spec, n):
-            term = hoeffding.hoeffding_term(hoeffding.SubsetTermSpec(
-                s=frozenset({2}), n=n, eta_n=1.0, sigma=spec.sigma, data=outcome))
+            pairs = hoeffding.factor_pairs(outcome, 1.0, sigma=spec.sigma)
+            term = hoeffding.hoeffding_term(pairs, frozenset({2}))
             energy += p * np.sum(term * term)
         assert energy > 1e-6
 
@@ -196,7 +202,7 @@ class TestEnergyDecay:
         assert bound < 1.0
         energies = np.zeros(n + 1)
         for outcome, p in model.enumerate_outcomes(spec, n):
-            _, terms = hoeffding.hoeffding_sum(outcome, spec.sigma, eta_n)
+            _, terms = hoeffding.hoeffding_sum(outcome, eta_n, sigma=spec.sigma)
             for k, t in enumerate(terms):
                 energies[k] += p * np.sum(t * t)
         ratios = energies[1:] / energies[:-1]
@@ -222,7 +228,7 @@ class TestHajekTermV1:
         data = rng.standard_normal((n, d))
         eta_n = 1.1
         a = eta_n / n
-        _, terms = hoeffding.hoeffding_sum(data, m.sigma, eta_n)
+        _, terms = hoeffding.hoeffding_sum(data, eta_n, sigma=m.sigma)
         target = m.v_perp @ (m.v_perp.T @ (terms[1] @ m.v1)) / (1 + a * m.lambda1) ** n
         got = hoeffding.hajek_term_v1(data, m, eta_n)
         assert np.linalg.norm(got - target) <= 1e-10

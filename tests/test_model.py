@@ -101,13 +101,6 @@ class TestSampleX:
         se = prods.std(axis=0) / math.sqrt(xs.shape[0])
         assert np.all(np.abs(emp - m.sigma) <= np.maximum(0.05, 5.0 * se))
 
-    def test_single_draw_matches_batch_prefix(self):
-        spec = model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0)
-        m = model.spectral_decompose(spec)
-        single = model.sample_x(m, randgen.derive_stream(9, ("p", 0)))
-        batch = model.sample_x(m, randgen.derive_stream(9, ("p", 0)), size=4)
-        np.testing.assert_array_equal(single, batch[0])
-
     def test_discrete_draws_live_on_support(self):
         spec = rademacher_e1()
         m = model.spectral_decompose(spec)
