@@ -3,7 +3,7 @@
 All m replicates share the data pass. At step t with sample x and previous
 sample p, replicate v moves by
 
-    v <- normalize(v + eta * (h + W (h - g))),  h = (x.v) x,  g = (p.v) p,
+    v <- v + eta * (h + W (h - g)),  h = (x.v) x,  g = (p.v) p,
 
 with W ~ N(0, 1/2) drawn per (replicate, step) from that replicate's own
 stream, so the values do not depend on how replicates are grouped. The very
@@ -13,7 +13,9 @@ there and the multiplier starts at t = 2. The update itself is the kernel
 
 The update is linear in v: it applies I + eta (x x^T + W (x x^T - p p^T)), so
 a replicate's path is the ordered product of those factors applied to u0 (the
-subset oracles in the hoeffding module decompose exactly this product).
+subset oracles in the hoeffding module decompose exactly this product). Only
+its direction is the replicate: `oja.advance` keeps each row in range by exact
+powers of two, and `oja.unit_rows` divides by the norm once, at the end.
 
 Also here: the closed-form conditional covariance of the linearized bootstrap
 statistic around v1, a single O(n d^2) pass in the eigenbasis.

@@ -39,13 +39,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _out_dir(config: harness.ExperimentConfig) -> Path:
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise harness.ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _cmd_sampling(config) -> int:
+def _cmd_sampling(config, out: Path) -> int:
     res = harness.run_sampling_experiment(config)
-    out = _out_dir(config)
     harness.write_cdf_csv(out / "sampling_cdf.csv", res["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", res["scaled_cdf"])
     harness.write_summary_json(out / "sampling_summary.json", config,
@@ -53,18 +55,16 @@ def _cmd_sampling(config) -> int:
     return 0
 
 
-def _cmd_bootstrap(config) -> int:
+def _cmd_bootstrap(config, out: Path) -> int:
     res = harness.run_bootstrap_experiment(config)
-    out = _out_dir(config)
     harness.write_cdf_csv(out / "bootstrap_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "bootstrap_summary.json", config,
                                quantiles=res["quantiles"])
     return 0
 
 
-def _cmd_reference(config) -> int:
+def _cmd_reference(config, out: Path) -> int:
     res = harness.run_reference(config)
-    out = _out_dir(config)
     summary = res["reference"].summary(res["weights"])
     harness.write_cdf_csv(out / "reference_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "reference_summary.json", config,
@@ -75,10 +75,9 @@ def _cmd_reference(config) -> int:
     return 0
 
 
-def _cmd_compare(config) -> int:
+def _cmd_compare(config, out: Path) -> int:
     sampling = harness.run_sampling_experiment(config)
     boot = harness.run_bootstrap_experiment(config)
-    out = _out_dir(config)
     harness.write_cdf_csv(out / "sampling_cdf.csv", sampling["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", sampling["scaled_cdf"])
     harness.write_cdf_csv(out / "bootstrap_cdf.csv", boot["cdf"])
@@ -89,9 +88,8 @@ def _cmd_compare(config) -> int:
     return 0
 
 
-def _cmd_verify(config) -> int:
+def _cmd_verify(config, out: Path) -> int:
     report = harness.verify(config)
-    out = _out_dir(config)
     harness.write_summary_json(out / "verify_report.json", config,
                                checks=report["checks"])
     for check in report["checks"]:
@@ -115,10 +113,12 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise harness.ConfigError("threads must be >= 1")
         config = harness.load_config(args.config, seed=args.seed, out=args.out)
+        # before any computation, so an unusable --out fails fast
+        out = _out_dir(config)
+        return _COMMANDS[args.command](config, out)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](config)
 
 
 if __name__ == "__main__":

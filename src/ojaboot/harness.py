@@ -6,11 +6,12 @@ blocks and time chunks have sizes fixed by the config, so any output file is a
 pure function of the config. Aggregation is always in unit-index order and
 floats are serialized through repr, which keeps reruns byte-identical.
 
-Each runner is one loop over `oja.advance` on blocks of up to 512 rows. Sampling
-runs each trial block through time chunks of 4096 // rows steps. The bootstrap
-loops over time: each 256-step chunk of its one dataset is drawn once and moves
-v_hat and then every replicate block, so its memory is O((chunk + replicates) d),
-not O(n d).
+Each runner is one loop over `oja.advance` on blocks of up to 512 rows, whose
+rows are right only up to a power-of-two scale until `oja.unit_rows` divides them
+by their norms, once, at the end of the pass. Sampling runs each trial block
+through time chunks of 4096 // rows steps. The bootstrap loops over time: each
+256-step chunk of its one dataset is drawn once and moves v_hat and then every
+replicate block, so its memory is O((chunk + replicates) d), not O(n d).
 """
 
 from __future__ import annotations
@@ -168,10 +169,20 @@ def draw_u0(config: ExperimentConfig) -> np.ndarray:
     return oja.normalize(config.stream("u0").normal(0.0, 1.0, config.d))
 
 
+def _unit_rows(w, config: ExperimentConfig) -> np.ndarray:
+    """oja.unit_rows at the end of a pass; a pass that left the finite range is a
+    step size too large for the data."""
+    try:
+        return oja.unit_rows(w)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (eta_n = {config.eta_n!r} is too large)") from exc
+
+
 def run_sampling_experiment(config: ExperimentConfig) -> dict:
     """Fixed u0, `trials` fresh datasets, one Oja pass each; errors vs true v1.
     A trial draws its rows chunk by chunk from its own ("trial", j) stream,
-    the same uniform coordinates as one bulk draw."""
+    the same uniform coordinates as one bulk draw. Its iterate is rescaled only
+    by powers of two during the pass and normalized once, at the end."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
@@ -189,7 +200,7 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
             w = oja.advance(w, model.sample_paths(mdl, streams, draws[:size].reshape(shape),
                                                   x[:size].reshape(shape)), eta)
         blocks.append(w)
-    errors = np.array([oja.sin2(row, mdl.v1) for row in np.vstack(blocks)])
+    errors = np.array([oja.sin2(row, mdl.v1) for row in _unit_rows(np.vstack(blocks), config)])
     scaled = (config.n / config.eta_n) * errors
     return {
         "cdf": stats.ecdf(errors),
@@ -207,7 +218,9 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     """One dataset, m multiplier-perturbed replicate chains, errors vs the
     unperturbed estimate. The dataset streams from ("data", 0) one chunk at a
     time; each chunk moves v_hat and then every replicate block, and is never
-    read again. Replicate i draws its multipliers from its own ("w", i) stream."""
+    read again. Replicate i draws its multipliers from its own ("w", i) stream.
+    v_hat and the replicates are rescaled only by powers of two during the pass
+    and normalized once, at the end."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
@@ -225,8 +238,8 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
         blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(block, lo, hi), prev)
                   for w, block in zip(blocks, streams)]
         prev = x[-1]
-    v_hat = v_hat[0]
-    errors = np.clip(1.0 - (np.vstack(blocks) @ v_hat) ** 2, 0.0, 1.0)
+    v_hat = _unit_rows(v_hat, config)[0]
+    errors = np.clip(1.0 - (_unit_rows(np.vstack(blocks), config) @ v_hat) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
     return {
         "cdf": cdf,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .randgen import RngStream
+from .randgen import RngStream, to_symmetric
 
 ENUMERATION_CAP = 10**6
 
@@ -179,7 +179,8 @@ def sample_paths(model: SpectralModel, streams, draws: np.ndarray, out: np.ndarr
         raise ValueError(f"buffers of shapes {draws.shape} and {out.shape} are not C-contiguous "
                          f"(m, T, d) with m = {len(streams)} streams and d = {d}")
     for row, stream in zip(draws, streams):
-        stream.uniform_sym(out=row)
+        stream.uniform01(out=row)
+    to_symmetric(draws)  # each stream's uniform_sym values, mapped in one pass
     np.matmul(draws.reshape(-1, d), model.sqrt_sigma, out=out.reshape(-1, d))
     return out
 

@@ -1,17 +1,23 @@
 """The streaming Oja iteration with fixed step size, and the sin^2 error.
 
-One pass over n samples with learning rate eta = eta_n / n:
+One pass over n samples with learning rate eta = eta_n / n applies
 
-    w <- normalize(w + eta * (w . x) * x)
+    w <- (I + eta x x^T) w
 
-The update is linear in w (it is (I + eta x x^T) w), so normalizing every step
-only rescales and never changes the direction; we renormalize every step to
-keep ‖w‖ = 1 and avoid the (1 + eta_n lambda1 / n)^n growth of the raw
-product. The default rate rule is eta_n = log n, overridable everywhere.
-`advance`, the one streaming kernel, moves a block of iterates through a chunk
-of samples, with the `bootstrap` multiplier update when given multipliers; the
-experiment runners call it directly, chunk by chunk. `run` is the library's
-one-row call over a whole dataset, not the runners' path.
+sample by sample, and the estimate is the direction of the result. The update is
+linear in w, so a division by the norm between steps would only rescale and
+never change the direction. `advance`, the one streaming kernel, divides by no
+norm: it rescales rows by exact powers of two, which changes no mantissa, at the
+end of every call and before any step where a growth bound says a row could
+leave [2^-256, 2^256] (the raw product grows like (1 + eta_n lambda1 / n)^n).
+Where a rescale falls therefore changes no bit of the direction, and
+`unit_rows` divides by the norm once, at the end of a pass. The default rate
+rule is eta_n = log n, overridable everywhere.
+
+`advance` moves a block of iterates through a chunk of samples, with the
+`bootstrap` multiplier update when given multipliers; the experiment runners
+call it directly, chunk by chunk. `run` is the library's one-row call over a
+whole dataset, not the runners' path.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import check_vector
+
+# Between two rescales a row's norm moves at most this many bits away from [1/2, 1),
+# so the squares behind the next rescale neither overflow nor underflow.
+_WINDOW_BITS = 255.0
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -29,6 +39,18 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def unit_rows(w) -> np.ndarray:
+    """The rows of the (m, d) block w, each divided by its norm: `advance` leaves
+    rows that are right only up to scale."""
+    w = np.asarray(w, dtype=float)
+    norms = np.sqrt((w * w).sum(axis=1))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} has norm {float(norms[bad[0]])!r}: the pass left "
+                         "the finite range")
+    return w / norms[:, None]
+
+
 def start(u0, m: int) -> np.ndarray:
     """An (m, d) block of m copies of the normalized u0."""
     if m < 1:
@@ -36,11 +58,18 @@ def start(u0, m: int) -> np.ndarray:
     return np.tile(normalize(u0), (m, 1))
 
 
+def _rescale(w) -> None:
+    """Scale each row of w in place by the power of two that puts its norm in [1/2, 1)."""
+    _, exponents = np.frexp(np.sqrt((w * w).sum(axis=1)))
+    np.ldexp(w, -exponents[:, None], out=w)
+
+
 def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
     """The (m, d) block w (left unmodified) after one time chunk of samples x:
     (T, d) shared by all rows or (m, T, d) per row. mult is the rows' (m, T)
-    multipliers or None for plain Oja; prev is the sample before the chunk, or
-    None at the start of the pass, whose first step is plain Oja."""
+    multipliers or None for plain Oja, and needs shared samples; prev is the sample
+    before the chunk, or None at the start of the pass, whose first step is plain
+    Oja. Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
     w = np.array(w, dtype=float)
     x = np.asarray(x, dtype=float)
     shared = x.ndim == 2
@@ -52,23 +81,51 @@ def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
     prev = None if prev is None else np.asarray(prev, dtype=float)
     if mult is not None and mult.shape != (m, steps):
         raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
+    if mult is not None and not shared:
+        raise ValueError("multipliers need samples shared by all rows")
+
+    # Step t applies I + E_t with ||E_t|| <= e_t, so it scales a row's norm by a factor
+    # in [1 - e_t, 1 + e_t]: by at most -log2(1 - e_t) bits either way, or any amount
+    # once e_t >= 1. The bootstrap step has E = eta ((1 + W) x x^T - W p p^T).
+    xx = (x[..., None, :] @ x[..., None])[..., 0, 0]  # squared norms, no buffer of x's size
+    if not shared:
+        xx = xx.max(axis=0)
+    e = abs(eta) * xx
+    if mult is not None and steps:
+        wmax = np.maximum(mult.max(axis=0), -mult.min(axis=0))  # no (m, T) temporary
+        pp = np.concatenate(([0.0 if prev is None else prev @ prev], xx[:-1]))
+        if prev is None:
+            wmax[0] = 0.0  # the first step is plain Oja and reads no multiplier
+        e += abs(eta) * wmax * (xx + pp)
+    bits = np.full(steps, np.inf)
+    bits[e < 1.0] = -np.log2(1.0 - e[e < 1.0])
+    bits = bits.tolist()
 
     def dots(a, b):
         # a shared sample: one matrix-vector product; per row: vector dots a_i @ b_i
         return a @ b if b.ndim == 1 else (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    for t in range(steps):
-        xt = x[..., t, :]
-        h = dots(w, xt)
-        if mult is None or prev is None:
-            w += eta * h[:, None] * xt
-        else:
-            wt = mult[:, t]
-            g = dots(w, prev)
-            w += eta * ((1.0 + wt) * h)[:, None] * xt
-            w -= eta * (wt * g)[:, None] * prev
-        w /= np.sqrt((w * w).sum(axis=1))[:, None]
-        prev = xt
+    coef = np.empty((m, 2))
+    moved = np.inf  # the input's norms are unknown: rescale before the first step
+    # a step too large for any rescale leaves inf or nan, which unit_rows reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            if moved + bits[t] > _WINDOW_BITS:
+                _rescale(w)
+                moved = 0.0
+            moved += bits[t]
+            xt = x[..., t, :]
+            h = dots(w, xt)
+            if mult is None or prev is None:
+                w += eta * h[:, None] * xt
+            else:
+                # both outer products as one (m, 2) @ (2, d) product over [prev; x_t]
+                wt = mult[:, t]
+                coef[:, 0] = -(eta * (wt * (w @ prev)))
+                coef[:, 1] = eta * ((1.0 + wt) * h)
+                w += coef @ (x[t - 1:t + 1] if t else np.stack((prev, xt)))
+            prev = xt
+        _rescale(w)
     return w
 
 
@@ -83,7 +140,7 @@ def run(source, n: int, eta_n: float, u0) -> np.ndarray:
     for i, row in enumerate(rows[:n]):
         if np.shape(row) != w.shape:
             raise ValueError(f"row {i} has dimension {np.shape(row)}, u0 has dimension {w.size}")
-    return advance(w[None, :], np.asarray(rows[:n], dtype=float), eta_n / n)[0]
+    return unit_rows(advance(w[None, :], np.asarray(rows[:n], dtype=float), eta_n / n))[0]
 
 
 def sin2(u, v) -> float:

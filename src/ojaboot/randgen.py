@@ -25,6 +25,15 @@ _STR_TAG = 1
 _MASK64 = (1 << 64) - 1
 
 
+def to_symmetric(u):
+    """Map Uniform [0, 1) draws u to Uniform(-sqrt(3), sqrt(3)) (mean 0, variance 1),
+    in place for an array. numpy's uniform(low, high) computes low + (high - low) U
+    from the same U, so these are its values bit for bit, at a lower cost per value."""
+    u *= 2.0 * ROOT3
+    u -= ROOT3
+    return u
+
+
 def _label_words(label) -> tuple[int, int, int]:
     # Encode one path label as (type tag, low 32 bits, high 32 bits) so that
     # e.g. 5 and "5" key different substreams.
@@ -65,22 +74,18 @@ class RngStream:
         return mean + math.sqrt(variance) * z
 
     def uniform_sym(self, size=None, out=None):
-        """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1; into `out` when given.
-        numpy's uniform(low, high) computes low + (high - low) U from the same U, so
-        these are its values bit for bit, at a lower cost per value."""
-        u = self._gen.random(size, out=out)
-        u *= 2.0 * ROOT3
-        u -= ROOT3
-        return u
+        """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1; into `out` when given."""
+        return to_symmetric(self._gen.random(size, out=out))
 
     def chisq1(self, size=None):
         """chi^2(1) draw(s), literally the square of a standard normal (in place)."""
         z = self._gen.standard_normal(size)
         return z * z if size is None else np.square(z, out=z)
 
-    def uniform01(self, size=None):
-        """Uniform [0, 1) draw(s); used for sampling finite supports."""
-        return self._gen.random(size)
+    def uniform01(self, size=None, out=None):
+        """Uniform [0, 1) draw(s), into `out` when given: indices into finite supports,
+        and the raw draws that `to_symmetric` maps for many streams at once."""
+        return self._gen.random(size, out=out)
 
 
 def derive_stream(master_seed: int, path=()) -> RngStream:

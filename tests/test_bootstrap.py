@@ -17,8 +17,8 @@ def scalar_update(v, x_t, prev_x, eta, w):
 def replicate_errors(data, u0, m, eta_n, streams):
     """(v_hat, sin^2 of each replicate against v_hat) from one shared pass."""
     n = data.shape[0]
-    reps = oja.advance(oja.start(u0, m), data, eta_n / n,
-                       bootstrap.draw_multipliers(streams, 0, n))
+    reps = oja.unit_rows(oja.advance(oja.start(u0, m), data, eta_n / n,
+                                     bootstrap.draw_multipliers(streams, 0, n)))
     v_hat = oja.run(data, n=n, eta_n=eta_n, u0=u0)
     return v_hat, np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
 
@@ -58,7 +58,8 @@ class TestEnsembleStep:
     def test_first_step_is_plain_oja_and_draws_nothing(self):
         u0 = np.array([1.0, 0.0])
         # no previous sample: the first column of multipliers is never read
-        block = oja.advance(oja.start(u0, 2), [[1.0, 1.0]], 0.5, mult=np.full((2, 1), np.nan))
+        block = oja.unit_rows(oja.advance(oja.start(u0, 2), [[1.0, 1.0]], 0.5,
+                                          mult=np.full((2, 1), np.nan)))
         w = oja.run(np.array([[1.0, 1.0]]), n=1, eta_n=0.5, u0=u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
@@ -72,7 +73,7 @@ class TestEnsembleStep:
         rng = np.random.default_rng(1)
         u0 = rng.standard_normal(3)
         data = rng.standard_normal((4, 3))
-        block = oja.advance(oja.start(u0, 3), data, 2.0 / 4, mult=np.zeros((3, 4)))
+        block = oja.unit_rows(oja.advance(oja.start(u0, 3), data, 2.0 / 4, mult=np.zeros((3, 4))))
         w = oja.run(data, n=4, eta_n=2.0, u0=u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
@@ -82,23 +83,32 @@ class TestEnsembleStep:
         u0 = rng.standard_normal(3)
         x = rng.standard_normal(3)
         mult = np.array([[3.7, 3.7], [-1.2, -1.2]])
-        block = oja.advance(oja.start(u0, 2), [x, x], 1.5 / 3, mult=mult)
+        block = oja.unit_rows(oja.advance(oja.start(u0, 2), [x, x], 1.5 / 3, mult=mult))
         # two plain steps at eta = 1.5 / 3
         w = oja.run(np.array([x, x]), n=2, eta_n=1.0, u0=u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
 
     def test_unit_norm_invariant(self):
+        # rows come back with norms in [1/2, 1), and in the direction of the
+        # per-step-normalized scalar update
         rng = np.random.default_rng(3)
         block = oja.start(rng.standard_normal(4), 5)
+        ref = block.copy()
         streams = [randgen.derive_stream(0, ("w", i)) for i in range(5)]
         prev = None
         for t in range(20):
             x = rng.standard_normal(4)
-            block = oja.advance(block, [x], 3.0 / 20,
-                                bootstrap.draw_multipliers(streams, t, t + 1), prev)
+            mult = bootstrap.draw_multipliers(streams, t, t + 1)
+            block = oja.advance(block, [x], 3.0 / 20, mult, prev)
+            for i, w in enumerate(mult[:, 0]):
+                step = scalar_update(ref[i], x, x if prev is None else prev, 3.0 / 20,
+                                     0.0 if prev is None else w)
+                ref[i] = oja.normalize(step)
             prev = x
-            np.testing.assert_allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-12)
+            norms = np.linalg.norm(block, axis=1)
+            assert np.all((norms >= 0.5) & (norms < 1.0)), norms
+            np.testing.assert_allclose(oja.unit_rows(block), ref, rtol=0.0, atol=1e-12)
 
     def test_one_dimensional_sphere(self):
         block = oja.start([2.0], 3)
@@ -108,7 +118,7 @@ class TestEnsembleStep:
             block = oja.advance(block, [x], 1.0 / 4,
                                 bootstrap.draw_multipliers(streams, t, t + 1), prev)
             prev = np.array(x)
-            np.testing.assert_allclose(np.abs(block[:, 0]), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.abs(oja.unit_rows(block)[:, 0]), 1.0, atol=1e-12)
 
     def test_matches_scalar_update(self):
         rng = np.random.default_rng(4)
@@ -116,7 +126,7 @@ class TestEnsembleStep:
         x0, x1 = rng.standard_normal(3), rng.standard_normal(3)
         ws = [0.8, -0.3]
         mult = np.array([[np.nan, ws[0]], [np.nan, ws[1]]])
-        block = oja.advance(oja.start(u0, 2), [x0, x1], 0.6, mult=mult)
+        block = oja.unit_rows(oja.advance(oja.start(u0, 2), [x0, x1], 0.6, mult=mult))
         v_prev = oja.normalize(oja.normalize(u0) + 0.6 * (oja.normalize(u0) @ x0) * x0)
         for i, w in enumerate(ws):
             ref = oja.normalize(scalar_update(v_prev, x1, x0, 0.6, w))
@@ -201,7 +211,7 @@ class TestRunBootstrap:
         u0 = oja.normalize(rng.standard_normal(d))
         eta_n = 1.4
         # the first column is never read: step 1 has no previous sample
-        rep = oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :])
+        rep = oja.unit_rows(oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :]))
         weights = np.concatenate([[0.0], wseq[1:]])
         b = hoeffding.direct_product(data, eta_n, weights=weights)
         ref = oja.normalize(b @ u0)

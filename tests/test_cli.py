@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ojaboot
-from ojaboot import cli
+from ojaboot import cli, harness
 
 
 @pytest.fixture
@@ -63,6 +63,25 @@ class TestExitCodes:
 
     def test_bad_threads_is_config_error(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path), "--threads", "0"]) == 2
+
+    def test_out_under_a_regular_file_is_config_error(self, config_path, tmp_path, capsys,
+                                                      monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setattr(harness, "run_sampling_experiment",
+                            lambda config: pytest.fail("computed before creating --out"))
+        args = ["sampling", "--config", str(config_path), "--out", str(blocker / "out")]
+        assert cli.main(args) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sampling", "bootstrap"])
+    def test_pass_beyond_the_finite_range_is_config_error(self, config_path, capsys, command):
+        raw = json.loads(config_path.read_text())
+        raw.update(n=50, eta_rule={"fixed": 1e300})
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "finite range" in err
 
     def test_success_is_zero(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path)]) == 0

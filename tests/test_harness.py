@@ -29,6 +29,15 @@ def scalar_draw_replicates(data, u0, eta, streams):
     return r
 
 
+def whole_ensemble_errors(data, u0, eta, streams, v_hat):
+    """Errors of one unchunked oja.advance call over the whole ensemble, fed one
+    scalar multiplier draw per replicate and step from t = 2."""
+    mult = np.array([[0.0] + [s.normal(0.0, 0.5) for _ in range(len(data) - 1)]
+                     for s in streams])
+    reps = oja.unit_rows(oja.advance(oja.start(u0, len(streams)), data, eta, mult))
+    return np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
+
+
 def traced_peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -206,21 +215,32 @@ class TestBootstrapExperiment:
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
+        np.testing.assert_array_equal(
+            res["errors"], whole_ensemble_errors(data, u0, cfg.eta_n / cfg.n,
+                                                 [cfg.stream("w", i) for i in range(70)],
+                                                 res["v_hat"]))
         reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
                                       [cfg.stream("w", i) for i in range(70)])
-        np.testing.assert_array_equal(res["errors"],
-                                      np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
+        np.testing.assert_allclose(res["errors"],
+                                   np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0),
+                                   atol=1e-15)
 
     def test_replicates_above_the_block_cap(self):
         # 520 = 512 + 8 replicates; n = 300 = 256 + 44 steps crosses a chunk end
         cfg = tiny_config(n=300, d=3, replicates=520)
         res = harness.run_bootstrap_experiment(cfg)
         mdl = cfg.spectral_model()
+        u0 = harness.draw_u0(cfg)
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
-        reps = scalar_draw_replicates(data, harness.draw_u0(cfg), cfg.eta_n / cfg.n,
+        np.testing.assert_array_equal(
+            res["errors"], whole_ensemble_errors(data, u0, cfg.eta_n / cfg.n,
+                                                 [cfg.stream("w", i) for i in range(520)],
+                                                 res["v_hat"]))
+        reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
                                       [cfg.stream("w", i) for i in range(520)])
-        np.testing.assert_array_equal(res["errors"],
-                                      np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0))
+        np.testing.assert_allclose(res["errors"],
+                                   np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0),
+                                   atol=1e-15)
 
     def test_v_hat_is_one_pass_over_the_chunked_data(self):
         # n = 600 crosses two chunk ends and is not a multiple of the chunk

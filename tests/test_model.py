@@ -123,6 +123,18 @@ class TestSamplePaths:
             bulk = model.sample_x(m, randgen.derive_stream(4, ("path", i)), 14)
             np.testing.assert_allclose(row, bulk, rtol=1e-12, atol=1e-13)
 
+    def test_draws_are_uniform_sym_bit_for_bit(self):
+        # the whole buffer is mapped at once; each row must still hold its own
+        # stream's uniform_sym values, chunk after chunk
+        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
+        streams = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
+        singles = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
+        draws, out = np.empty((3, 5, 4)), np.empty((3, 5, 4))
+        for _ in range(2):
+            model.sample_paths(m, streams, draws, out)
+            for row, stream in zip(draws, singles):
+                np.testing.assert_array_equal(row, stream.uniform_sym((5, 4)))
+
     def test_rejects_unfit_buffers_and_discrete_laws(self):
         m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0))
         streams = [randgen.derive_stream(4, ("bad", i)) for i in range(2)]

@@ -118,19 +118,38 @@ class TestRun:
             oja.run(np.ones((2, 3)), n=2, eta_n=1.0, u0=[1.0, 1.0])
 
 
+def normalized_loop(w, x, eta, mult=None, prev=None):
+    """The update one row and one step at a time, divided by the norm after every
+    step: the reference for advance's power-of-two rescaling."""
+    rows = []
+    for i, v in enumerate(np.array(w, dtype=float)):
+        p = prev
+        for t in range(x.shape[-2]):
+            xt = x[i, t] if x.ndim == 3 else x[t]
+            h = v @ xt
+            if mult is None or p is None:
+                v = v + eta * h * xt
+            else:
+                v = v + eta * ((1.0 + mult[i, t]) * h * xt - mult[i, t] * (v @ p) * p)
+            v = v / np.linalg.norm(v)
+            p = xt
+        rows.append(v)
+    return np.array(rows)
+
+
 class TestAdvance:
     def test_run_is_the_one_row_call(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((40, 5))
         u0 = rng.standard_normal(5)
-        w = oja.advance(oja.start(u0, 1), data, 1.3 / 40)
+        w = oja.unit_rows(oja.advance(oja.start(u0, 1), data, 1.3 / 40))
         np.testing.assert_array_equal(w[0], oja.run(data, n=40, eta_n=1.3, u0=u0))
 
     def test_rows_repeat_run_on_their_own_samples(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((6, 50, 4))
         u0 = rng.standard_normal(4)
-        w = oja.advance(oja.start(u0, 6), data, 2.0 / 50)
+        w = oja.unit_rows(oja.advance(oja.start(u0, 6), data, 2.0 / 50))
         for row, x in zip(w, data):
             np.testing.assert_array_equal(row, oja.run(x, n=50, eta_n=2.0, u0=u0))
 
@@ -149,6 +168,36 @@ class TestAdvance:
                                 data[lo - 1] if lo else None)
         np.testing.assert_array_equal(block, whole)
 
+    @pytest.mark.parametrize("case", ["shared", "per_row", "multipliers"])
+    def test_large_steps_stay_finite(self, case):
+        # eta ||x_t||^2 from 1e3 to 1e9: 50 unnormalized steps would grow a row by
+        # more than 2^1024, so advance must rescale inside the call
+        rng = np.random.default_rng(11)
+        m, steps, d, eta = 3, 50, 4, 1e-2
+        shape = (m, steps, d) if case == "per_row" else (steps, d)
+        x = rng.standard_normal(shape)
+        gain = 10.0 ** rng.uniform(3.0, 9.0, shape[:-1])
+        x *= np.sqrt(gain / (eta * np.einsum("...d,...d->...", x, x)))[..., None]
+        mult = rng.normal(0.0, 0.7, (m, steps)) if case == "multipliers" else None
+        block = oja.start(rng.standard_normal(d), m)
+        w = oja.advance(block, x, eta, mult)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(oja.unit_rows(w), normalized_loop(block, x, eta, mult),
+                                   rtol=1e-12)
+
+    def test_shrinking_multipliers_stay_finite(self):
+        # W = -50 on samples alternating between e1 and e2 scales a row by 0.1 and then
+        # 1.918 along each axis: 2.4 bits lost per two steps, 720 bits over the call,
+        # so advance must rescale inside the call
+        eta, steps = 0.9 / 49, 600
+        x = np.tile(np.eye(2), (steps // 2, 1))
+        mult = np.full((2, steps), -50.0)
+        block = np.array([[0.6, 0.8], [-0.28, 0.96]])
+        w = oja.advance(block, x, eta, mult)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(oja.unit_rows(w), normalized_loop(block, x, eta, mult),
+                                   rtol=1e-12)
+
     def test_shape_errors(self):
         block = oja.start([1.0, 0.0], 3)
         with pytest.raises(ValueError, match="do not fit"):
@@ -159,6 +208,15 @@ class TestAdvance:
             oja.advance(block, np.ones((2, 4, 2)), 0.1)
         with pytest.raises(ValueError, match="multipliers"):
             oja.advance(block, np.ones((4, 2)), 0.1, mult=np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="shared"):
+            oja.advance(block, np.ones((3, 4, 2)), 0.1, mult=np.zeros((3, 4)))
+
+    def test_unit_rows_rejects_rows_that_left_the_finite_range(self):
+        np.testing.assert_array_equal(oja.unit_rows([[0.0, 0.5], [3.0, 4.0]]),
+                                      [[0.0, 1.0], [0.6, 0.8]])
+        for bad in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="row 1 .* finite range"):
+                oja.unit_rows([[1.0, 0.0], bad])
 
 
 class TestSin2:
