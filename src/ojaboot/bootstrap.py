@@ -35,11 +35,12 @@ W_VARIANCE = 0.5
 def draw_multipliers(streams, start: int, stop: int) -> np.ndarray:
     """The (m, stop - start) multipliers of 0-based steps start..stop-1, a row per
     replicate stream. Step 0 draws none (its column is zero), so any chunking
-    yields the values of one scalar draw per step from t = 2 on."""
+    yields the values of one scalar draw per step from t = 2 on. Each stream draws
+    straight into its row of the result."""
     first = 1 if start == 0 else 0
     mult = np.zeros((len(streams), stop - start))
     for row, stream in zip(mult, streams):
-        row[first:] = stream.normal(0.0, W_VARIANCE, stop - start - first)
+        stream.normal(0.0, W_VARIANCE, out=row[first:])
     return mult
 
 

@@ -2,11 +2,19 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for config
 problems (argparse also exits 2 on malformed flags, which matches).
+
+`compare` runs two independent experiments. With `--threads` >= 2 (where the
+platform has `os.fork`) the bootstrap runs in a forked child while this process
+runs sampling; both execute the same code on the same config, so the output
+bytes do not depend on `--threads`. Every other subcommand runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -17,7 +25,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    parser.add_argument("--threads", type=int, default=1, metavar="K",
+                        help="compare: with K >= 2, run the bootstrap in a second "
+                             "process beside sampling; other subcommands use one")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,9 +85,52 @@ def _cmd_reference(config, out: Path) -> int:
     return 0
 
 
-def _cmd_compare(config, out: Path) -> int:
-    sampling = harness.run_sampling_experiment(config)
-    boot = harness.run_bootstrap_experiment(config)
+def _in_two_processes(here, there, config):
+    """(here(config), there(config)), the second computed in a forked child and
+    sent back through a pipe. The child leaves only through os._exit, so it never
+    flushes this process's stdio or runs its exit handlers; its exception is
+    re-raised here. If here(config) raises, the child is killed; it is always reaped."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, there(config))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            mine = here(config)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        raise RuntimeError(f"the forked process exited with status {status} "
+                           "before sending its result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _cmd_compare(config, out: Path, threads: int) -> int:
+    if threads >= 2 and hasattr(os, "fork"):
+        sampling, boot = _in_two_processes(harness.run_sampling_experiment,
+                                           harness.run_bootstrap_experiment, config)
+    else:
+        sampling = harness.run_sampling_experiment(config)
+        boot = harness.run_bootstrap_experiment(config)
     harness.write_cdf_csv(out / "sampling_cdf.csv", sampling["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", sampling["scaled_cdf"])
     harness.write_cdf_csv(out / "bootstrap_cdf.csv", boot["cdf"])
@@ -102,7 +155,6 @@ _COMMANDS = {
     "sampling": _cmd_sampling,
     "bootstrap": _cmd_bootstrap,
     "reference": _cmd_reference,
-    "compare": _cmd_compare,
     "verify": _cmd_verify,
 }
 
@@ -115,6 +167,8 @@ def main(argv=None) -> int:
         config = harness.load_config(args.config, seed=args.seed, out=args.out)
         # before any computation, so an unusable --out fails fast
         out = _out_dir(config)
+        if args.command == "compare":
+            return _cmd_compare(config, out, args.threads)
         return _COMMANDS[args.command](config, out)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

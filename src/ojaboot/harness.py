@@ -4,7 +4,9 @@ comparison artifacts, and the self-verification suite.
 Every random consumer owns a substream derived from (master_seed, path), and
 blocks and time chunks have sizes fixed by the config, so any output file is a
 pure function of the config. Aggregation is always in unit-index order and
-floats are serialized through repr, which keeps reruns byte-identical.
+floats are serialized through repr, which keeps reruns byte-identical. The
+runners share no state, so the CLI may run two of them in separate processes
+(compare's sampling and bootstrap, under --threads >= 2) without a byte changing.
 
 Each runner is one loop over `oja.advance` on blocks of up to 512 rows, whose
 rows are right only up to a power-of-two scale until `oja.unit_rows` divides them
@@ -251,16 +253,21 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     }
 
 
+def _reference_weights(config: ExperimentConfig):
+    """The reference covariance, estimated from the ("mc", "m_estimate") stream,
+    and its chi-square weights."""
+    ref = reference.build_reference(config.spectral_model(), config.stream("mc", "m_estimate"),
+                                    config.eta_n, config.n, config.mc_m_estimate)
+    return ref, reference.chisq_weights(ref.vbar)
+
+
 def run_reference(config: ExperimentConfig) -> dict:
     """Assemble the reference covariance and sample its weighted chi-square law.
 
     The draws are on the scale of (n/eta_n) * sin2, the units the limit law
     is stated in.
     """
-    mdl = config.spectral_model()
-    ref = reference.build_reference(mdl, config.stream("mc", "m_estimate"),
-                                    config.eta_n, config.n, config.mc_m_estimate)
-    weights = reference.chisq_weights(ref.vbar)
+    ref, weights = _reference_weights(config)
     samples = reference.sample_weighted_chisq(weights, config.stream("mc", "chisq"),
                                               config.mc_chisq)
     cdf = stats.ecdf(samples)
@@ -389,14 +396,16 @@ def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
 
 
 def verify(config: ExperimentConfig) -> dict:
-    """Run the named self-checks; each appears exactly once in the report."""
-    ref_out = run_reference(config)
+    """Run the named self-checks; each appears exactly once in the report. The
+    chi-square checks take the weights of `run_reference` and draw their own
+    samples, so the reference law's own sample is never drawn here."""
+    _, weights = _reference_weights(config)
     checks = [
         _check_hoeffding(config, with_multipliers=False),
         _check_hoeffding(config, with_multipliers=True),
         _check_orthogonality(config),
-        _check_chisq_moments(config, ref_out["weights"]),
-        _check_anticoncentration(config, ref_out["weights"]),
+        _check_chisq_moments(config, weights),
+        _check_anticoncentration(config, weights),
         _check_covariance_rate(config),
         _check_vbar_closed_form(config),
     ]

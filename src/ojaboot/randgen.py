@@ -66,12 +66,17 @@ class RngStream:
 
     # -- sampling primitives ------------------------------------------------
 
-    def normal(self, mean: float = 0.0, variance: float = 1.0, size=None):
-        """N(mean, variance) draw(s); variance 0 degenerates to the mean."""
+    def normal(self, mean: float = 0.0, variance: float = 1.0, size=None, out=None):
+        """N(mean, variance) draw(s); variance 0 degenerates to the mean. Into `out`
+        when given, scaled and shifted in place: the same values, bit for bit."""
         if variance < 0:
             raise ValueError(f"variance must be >= 0, got {variance}")
-        z = self._gen.standard_normal(size)
-        return mean + math.sqrt(variance) * z
+        z = self._gen.standard_normal(size, out=out)
+        if out is None:
+            return mean + math.sqrt(variance) * z
+        z *= math.sqrt(variance)
+        z += mean
+        return z
 
     def uniform_sym(self, size=None, out=None):
         """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1; into `out` when given."""

@@ -145,6 +145,19 @@ class TestEnsembleStep:
             scalar = [0.0] + [s.normal(0.0, 0.5) for _ in range(11)]
             np.testing.assert_array_equal(row, scalar)
 
+    def test_draws_equal_per_stream_draws_bitwise(self):
+        # each row is drawn in place; the values are those of one draw of
+        # stop - start values (one fewer at step 0) from the replicate's stream
+        for start, stop in ((0, 256), (256, 300)):
+            mult = bootstrap.draw_multipliers(
+                [randgen.derive_stream(6, ("w", i)) for i in range(4)], start, stop)
+            first = 1 if start == 0 else 0
+            for i, row in enumerate(mult):
+                old = randgen.derive_stream(6, ("w", i)).normal(
+                    0.0, bootstrap.W_VARIANCE, stop - start - first)
+                assert row[first:].tobytes() == old.tobytes()
+            assert not mult[:, :first].any()
+
 
 class TestConditionalMoments:
     def test_antithetic_mean_preservation(self):

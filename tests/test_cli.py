@@ -1,9 +1,12 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,12 +77,21 @@ class TestExitCodes:
         assert cli.main(args) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sampling", "bootstrap"])
-    def test_pass_beyond_the_finite_range_is_config_error(self, config_path, capsys, command):
+    @pytest.mark.parametrize("args", [["sampling"], ["bootstrap"],
+                                      ["compare", "--threads", "2"]],
+                             ids=["sampling", "bootstrap", "compare-forked"])
+    def test_pass_beyond_the_finite_range_is_config_error(self, config_path, capsys,
+                                                          monkeypatch, args):
         raw = json.loads(config_path.read_text())
         raw.update(n=50, eta_rule={"fixed": 1e300})
         config_path.write_text(json.dumps(raw))
-        assert cli.main([command, "--config", str(config_path)]) == 2
+        if args[0] == "compare":
+            # sampling runs in this process at a sane rate, so the error is raised in
+            # the forked bootstrap process and has to come back through the pipe
+            sampling = harness.run_sampling_experiment
+            monkeypatch.setattr(harness, "run_sampling_experiment", lambda config: sampling(
+                dataclasses.replace(config, eta_rule="log_n", eta_value=None)))
+        assert cli.main([*args, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "finite range" in err
 
@@ -92,6 +104,49 @@ class TestExitCodes:
         monkeypatch.setattr(hoeffding, "hoeffding_term",
                             lambda pairs, s: -orig(pairs, s) if s else orig(pairs, s))
         assert cli.main(["verify", "--config", str(config_path)]) == 1
+
+
+class TestForkedBootstrap:
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids that os.fork returns in the parent."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    def test_child_that_dies_fails_with_its_status(self, config_path, monkeypatch, forked):
+        monkeypatch.setattr(harness, "run_bootstrap_experiment", lambda config: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            cli.main(["compare", "--config", str(config_path), "--threads", "2"])
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # reaped: no zombie is left
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_parent_error_kills_and_reaps_the_child(self, config_path, monkeypatch, forked):
+        def fail(config):
+            raise harness.ConfigError("sampling failed")
+
+        monkeypatch.setattr(harness, "run_bootstrap_experiment", lambda config: time.sleep(30))
+        monkeypatch.setattr(harness, "run_sampling_experiment", fail)
+        start = time.monotonic()
+        assert cli.main(["compare", "--config", str(config_path), "--threads", "2"]) == 2
+        assert time.monotonic() - start < 15
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_one_process_below_two_threads(self, config_path, forked):
+        assert cli.main(["compare", "--config", str(config_path), "--threads", "1"]) == 0
+        assert cli.main(["verify", "--config", str(config_path), "--threads", "2"]) == 0
+        assert forked == []
 
 
 class TestOutputs:
@@ -146,11 +201,15 @@ class TestOutputs:
 
 class TestDeterminism:
     def test_thread_count_invisible_in_bytes(self, config_path, tmp_path):
+        # --threads 2 and 8 run the bootstrap in a forked process
         out = tmp_path / "out"
-        assert cli.main(["compare", "--config", str(config_path), "--threads", "1"]) == 0
-        first = read_all(out)
-        assert cli.main(["compare", "--config", str(config_path), "--threads", "8"]) == 0
-        assert read_all(out) == first
+        outputs = []
+        for threads in ("1", "2", "8"):
+            assert cli.main(["compare", "--config", str(config_path), "--threads", threads]) == 0
+            outputs.append(read_all(out))
+            shutil.rmtree(out)
+        assert len(outputs[0]) == 6
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_blas_thread_count_invisible_in_compare_reference_verify_bytes(self, tmp_path):
         # A 300-row block at d = 100 makes the iterate and sampling products large
@@ -159,20 +218,23 @@ class TestDeterminism:
         # Monte Carlo draws; reference and verify both build that covariance.
         config = {"n": 200, "d": 100, "trials": 300, "replicates": 300, "master_seed": 1,
                   "mc_m_estimate": 1000, "mc_chisq": 1000}
+        # The last run forks compare's bootstrap out of a process that has started
+        # OpenBLAS's thread pool.
         outputs = []
-        for blas_threads in ("1", "2"):
-            run_dir = tmp_path / f"blas{blas_threads}"
+        for blas_threads, threads in (("1", "1"), ("2", "1"), ("2", "2")):
+            run_dir = tmp_path / f"blas{blas_threads}-threads{threads}"
             run_dir.mkdir()
             (run_dir / "config.json").write_text(json.dumps(config))
             files = {}
             for command in ("compare", "reference", "verify"):
-                proc = run_module([command, "--config", "config.json", "--out", command],
+                proc = run_module([command, "--config", "config.json", "--out", command,
+                                   "--threads", threads],
                                   run_dir, OPENBLAS_NUM_THREADS=blas_threads)
                 assert proc.returncode == 0, proc.stderr
                 files[command] = read_all(run_dir / command)
             outputs.append(files)
         assert [len(outputs[0][c]) for c in ("compare", "reference", "verify")] == [6, 2, 1]
-        assert outputs[0] == outputs[1]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         out = tmp_path / "out"

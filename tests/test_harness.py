@@ -349,6 +349,27 @@ class TestVerify:
         assert not by_name["bootstrap_hoeffding_exactness"]["passed"]
         assert by_name["orthogonality"]["passed"]
 
+    def test_draws_no_reference_chisq_sample(self, monkeypatch):
+        # the chi-square checks need the reference weights, not run_reference's sample
+        paths = []
+        orig = randgen.derive_stream
+
+        def recording(master_seed, path=()):
+            paths.append(tuple(path))
+            return orig(master_seed, path)
+
+        monkeypatch.setattr(randgen, "derive_stream", recording)
+        cfg = tiny_config(d=6)
+        checks = harness.verify(cfg)["checks"]
+        assert ("mc", "m_estimate") in paths
+        assert ("mc", "chisq") not in paths
+        by_name = {c["name"]: c for c in checks}
+        # the same weights as run_reference's
+        expected = reference.anticoncentration_check(
+            harness.run_reference(cfg)["weights"], 0.01,
+            orig(cfg.master_seed, ("verify", "anticoncentration")), n_mc=cfg.mc_chisq)
+        assert by_name["anticoncentration"]["value"] == expected["max_window_prob"]
+
     def test_hoeffding_exactness_survives_cancellation(self):
         # Default config, seed 5: the n=6, d=3, eta=log 6 case sums subset terms
         # of total norm ~6e7 to a product of norm ~15, and float64 evaluation

@@ -60,6 +60,15 @@ class TestNormal:
         w = s.normal(0.0, 0.5, 10**6)
         assert abs(w.var() - 0.5) < 0.01
 
+    @pytest.mark.parametrize("mean, variance", [(0.0, 0.5), (-1.5, 2.0)])
+    def test_out_equals_fresh_draws_bitwise(self, mean, variance):
+        fresh = randgen.derive_stream(8, ("w", 2)).normal(mean, variance, 257)
+        buf = np.full(260, np.nan)
+        got = randgen.derive_stream(8, ("w", 2)).normal(mean, variance, out=buf[3:])
+        assert got.base is buf
+        assert buf[3:].tobytes() == fresh.tobytes()
+        assert np.isnan(buf[:3]).all()
+
 
 class TestUniformSym:
     def test_support(self):
