@@ -69,7 +69,7 @@ class ExperimentConfig:
     eta_rule: str = "log_n"
     eta_value: float | None = None
     master_seed: int = 0
-    mc_m_estimate: int = 10**5
+    mc_m_estimate: int = 10**5  # validated and echoed; the moment matrix is exact
     mc_chisq: int = 10**5
     output_dir: str = "out"
 
@@ -254,10 +254,8 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
 
 
 def _reference_weights(config: ExperimentConfig):
-    """The reference covariance, estimated from the ("mc", "m_estimate") stream,
-    and its chi-square weights."""
-    ref = reference.build_reference(config.spectral_model(), config.stream("mc", "m_estimate"),
-                                    config.eta_n, config.n, config.mc_m_estimate)
+    """The reference covariance and its chi-square weights."""
+    ref = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
     return ref, reference.chisq_weights(ref.vbar)
 
 
@@ -355,16 +353,13 @@ def _check_anticoncentration(config: ExperimentConfig,
 
 
 def _check_covariance_rate(config: ExperimentConfig) -> dict:
-    # fixed estimation size: this is a build self-check, so its noise level
-    # must not depend on the config's Monte Carlo budget
     d = min(config.d, 10)
     mdl = model.spectral_decompose(
         model.KernelSpec(d=d, c=config.c, beta=config.beta, scale=config.scale))
     medians = {}
     for n in (500, 2000):
         eta = float(np.log(n))
-        ref = reference.build_reference(
-            mdl, config.stream("verify", "rate_m", n), eta, n, 2 * 10**4)
+        ref = reference.build_reference(mdl, eta, n)
         diffs = []
         for j in range(21):
             data = model.sample_x(mdl, config.stream("verify", "rate", n, j), n)

@@ -24,6 +24,10 @@ _INT_TAG = 0
 _STR_TAG = 1
 _MASK64 = (1 << 64) - 1
 
+# E z^4 of one to_symmetric coordinate: the fourth moment (sqrt 3)^4 / 5 of
+# Uniform(-sqrt(3), sqrt(3)), against 3 for a standard normal
+KAPPA = 9.0 / 5.0
+
 
 def to_symmetric(u):
     """Map Uniform [0, 1) draws u to Uniform(-sqrt(3), sqrt(3)) (mean 0, variance 1),

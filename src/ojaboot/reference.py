@@ -5,13 +5,11 @@ so its law is a weighted sum of independent chi-square(1) variables. The
 weights are the eigenvalues of a covariance matrix assembled from two
 ingredients: a fourth-moment matrix of the data law expressed in the
 complement of the top eigenvector, and the geometric decay ratios of the
-deflated one-step update. Everything here is a closed form in the
-eigenbasis or a plain Monte Carlo average over a caller-supplied stream.
-
-Both Monte Carlo stages (the moment matrix and the chi-square draws) stream
-through fixed row chunks, so their memory is O(chunk * d) rather than
-O(n_mc * d), and their sums run in a fixed order that does not depend on the
-BLAS thread count.
+deflated one-step update. The moment matrix is exact: a sum over the
+support for a discrete law, and a closed form in the eigenbasis and the
+fourth moment of the sampling law for a continuous one. Only the
+chi-square draws are Monte Carlo; they stream through fixed row chunks, so
+their memory is O(chunk * d) rather than O(n_mc * d).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model, stats
+from . import linalg, model, randgen, stats
 
 MC_DEFAULT = 10**5
 _GRID_POINTS = 200
@@ -32,13 +30,10 @@ _TIE_TOL = 1e-12
 _WEIGHT_FLOOR_RTOL = 1e-8
 # constructor clamps weights in [-1e-12, 0) to zero, rejects below
 _WEIGHT_CLAMP = 1e-12
-# Monte Carlo rows drawn per chunk: 512 x d floats (400 KB at d = 100) stay in
+# chi-square rows drawn per chunk: 512 x d floats (400 KB at d = 100) stay in
 # cache, and as a multiple of 4 the chunk keeps OpenBLAS's 4-row matrix-vector
 # grouping, so chunked chi-square draws equal one-shot ones bit for bit
 _MC_ROWS = 512
-# the moment sum adds one 64-row product at a time, in order; OpenBLAS splits
-# longer reductions over threads, which moves the last digits with the count
-_REDUCE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,36 +113,29 @@ class WeightedChiSq:
         return float(2.0 * np.sum(self.weights**2))
 
 
-def estimate_M(mdl: model.SpectralModel, stream, n_mc: int = MC_DEFAULT) -> np.ndarray:
+def estimate_M(mdl: model.SpectralModel) -> np.ndarray:
     """Fourth-moment matrix of the law projected onto the complement frame.
 
-    Estimates E[(x . v1)^2 (P x)(P x)^T] where P maps to the complement
-    coordinates. Discrete laws are summed exactly over their support and
-    n_mc is ignored; continuous laws use an n_mc-sample Monte Carlo average
-    drawn from `stream`, the same draws as model.sample_x(mdl, stream, n_mc).
-
-    Since x = Sigma^{1/2} z, the eigenbasis coordinates x Q are z Q Lambda^{1/2}:
-    one product per chunk gives s = x . v1 (column 0) and y = x V_perp (the rest).
+    Computes E[(x . v1)^2 (P x)(P x)^T] exactly, where P maps to the
+    complement coordinates. Discrete laws are summed over their support.
+    Continuous laws draw x = Sigma^{1/2} z with iid z coordinates of unit
+    variance and fourth moment kappa, so the eigenbasis coordinates are
+    y_j = sqrt(lam_j) (q_j . z), and the identity
+    E[(a.z)^2 (b.z)(c.z)] = |a|^2 (b.c) + 2 (a.b)(a.c) + (kappa - 3) sum_k a_k^2 b_k c_k
+    gives M = lam_1 L^{1/2} [I + (kappa - 3) Q_perp^T diag(v1 * v1) Q_perp] L^{1/2},
+    L = diag(lam_2, ..., lam_d). The product runs in einsum's own loops, not
+    BLAS, whose threaded product rounds differently with the thread count.
     """
     law = mdl.sampling_law
     if isinstance(law, model.DiscreteSpec):
         s = law.support @ mdl.v1
         y = law.support @ mdl.v_perp
         return linalg.sym((y * (law.probs * s * s)[:, None]).T @ y)
-    if n_mc < 1:
-        raise ValueError("Monte Carlo estimation needs n_mc >= 1")
-    d = mdl.dim
-    root = mdl.eig.eigenvectors * np.sqrt(np.clip(mdl.eig.eigenvalues, 0.0, None))
-    z = np.empty((min(n_mc, _MC_ROWS), d))
-    acc = np.zeros((d - 1, d - 1))
-    for first in range(0, n_mc, _MC_ROWS):
-        zc = stream.uniform_sym(out=z[:min(_MC_ROWS, n_mc - first)])
-        coords = zc @ root
-        y = coords[:, 1:]
-        ys = y * np.square(coords[:, :1])
-        for k in range(0, zc.shape[0], _REDUCE_ROWS):
-            acc += ys[k:k + _REDUCE_ROWS].T @ y[k:k + _REDUCE_ROWS]
-    return linalg.sym(acc / n_mc)
+    lam = np.clip(mdl.eig.eigenvalues, 0.0, None)
+    cross = np.einsum("ki,kj->ij", mdl.v_perp * np.square(mdl.v1)[:, None], mdl.v_perp)
+    inner = np.eye(mdl.dim - 1) + (randgen.KAPPA - 3.0) * cross
+    root = np.sqrt(lam[1:])
+    return linalg.sym(lam[0] * (root[:, None] * inner * root))
 
 
 def contraction_ratios(mdl: model.SpectralModel, eta_n: float, n: int) -> np.ndarray:
@@ -190,11 +178,10 @@ def assemble_vbar(m_matrix, lambda_perp, eta_n: float, n: int, v_perp) -> np.nda
     return linalg.sym((eta_n / n) * np.einsum("il,jl->ij", inner, v))
 
 
-def build_reference(mdl: model.SpectralModel, stream, eta_n: float, n: int,
-                    n_mc: int = MC_DEFAULT) -> ReferenceCovariance:
-    """Estimate the moment matrix and assemble the full reference covariance."""
+def build_reference(mdl: model.SpectralModel, eta_n: float, n: int) -> ReferenceCovariance:
+    """Compute the moment matrix and assemble the full reference covariance."""
     mdl.require_gap()
-    m = estimate_M(mdl, stream, n_mc)
+    m = estimate_M(mdl)
     lp = contraction_ratios(mdl, eta_n, n)
     vbar = assemble_vbar(m, lp, eta_n, n, mdl.v_perp)
     return ReferenceCovariance(m_matrix=m, lambda_perp=lp, vbar=vbar,

@@ -214,8 +214,8 @@ class TestDeterminism:
     def test_blas_thread_count_invisible_in_compare_reference_verify_bytes(self, tmp_path):
         # A 300-row block at d = 100 makes the iterate and sampling products large
         # enough for OpenBLAS to split them over threads. At d = 100 it would also
-        # split the moment-matrix sum and the conjugation into vbar, even at 1000
-        # Monte Carlo draws; reference and verify both build that covariance.
+        # split the products of the closed-form moment matrix and the conjugation
+        # into vbar; reference and verify both build that covariance.
         config = {"n": 200, "d": 100, "trials": 300, "replicates": 300, "master_seed": 1,
                   "mc_m_estimate": 1000, "mc_chisq": 1000}
         # The last run forks compare's bootstrap out of a process that has started
@@ -235,6 +235,20 @@ class TestDeterminism:
             outputs.append(files)
         assert [len(outputs[0][c]) for c in ("compare", "reference", "verify")] == [6, 2, 1]
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_mc_m_estimate_changes_no_output(self, config_path, tmp_path):
+        # the moment matrix is exact, so the key is only validated and echoed
+        runs = []
+        for mc_m_estimate in (1, 800):
+            raw = json.loads(config_path.read_text())
+            raw["mc_m_estimate"] = mc_m_estimate
+            config_path.write_text(json.dumps(raw))
+            assert cli.main(["reference", "--config", str(config_path)]) == 0
+            out = tmp_path / "out"
+            summary = json.loads((out / "reference_summary.json").read_text())
+            assert summary["config_echo"].pop("mc_m_estimate") == mc_m_estimate
+            runs.append(((out / "reference_cdf.csv").read_bytes(), summary))
+        assert runs[0] == runs[1]
 
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         out = tmp_path / "out"

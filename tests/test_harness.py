@@ -71,6 +71,7 @@ class TestExperimentConfig:
         dict(eta_rule="quadratic"), dict(eta_rule="fixed"),
         dict(eta_rule="fixed", eta_value=0.0), dict(master_seed=-1),
         dict(master_seed=2**64), dict(mc_chisq=0), dict(scale=0.0), dict(c=-0.1),
+        dict(mc_m_estimate=0),
     ])
     def test_invalid_fields(self, bad):
         with pytest.raises(harness.ConfigError):
@@ -350,7 +351,8 @@ class TestVerify:
         assert by_name["orthogonality"]["passed"]
 
     def test_draws_no_reference_chisq_sample(self, monkeypatch):
-        # the chi-square checks need the reference weights, not run_reference's sample
+        # the chi-square checks need the reference weights, not run_reference's
+        # sample, and the exact moment matrix draws nothing
         paths = []
         orig = randgen.derive_stream
 
@@ -361,7 +363,8 @@ class TestVerify:
         monkeypatch.setattr(randgen, "derive_stream", recording)
         cfg = tiny_config(d=6)
         checks = harness.verify(cfg)["checks"]
-        assert ("mc", "m_estimate") in paths
+        assert ("mc", "m_estimate") not in paths
+        assert not any(p[:2] == ("verify", "rate_m") for p in paths)
         assert ("mc", "chisq") not in paths
         by_name = {c["name"]: c for c in checks}
         # the same weights as run_reference's

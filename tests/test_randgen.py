@@ -82,10 +82,11 @@ class TestUniformSym:
         assert abs(z.var() - 1.0) < 0.01
 
     def test_fourth_moment(self):
-        # E Z^4 = a^4 / 5 with a = sqrt(3) -> 9/5
-        s = randgen.derive_stream(3, ("u4",))
-        z = s.uniform_sym(10**6)
-        assert abs(np.mean(z**4) - 1.8) < 0.02
+        # E Z^4 = a^4 / 5 with a = sqrt(3), so KAPPA = 3^2 / 5
+        assert randgen.KAPPA == 3**2 / 5
+        assert randgen.ROOT3**2 == pytest.approx(3.0, rel=1e-15)
+        z4 = randgen.derive_stream(3, ("u4",)).uniform_sym(10**6) ** 4
+        assert abs(z4.mean() - randgen.KAPPA) <= 5 * z4.std() / np.sqrt(z4.size)
 
     def test_chunked_draws_equal_bulk(self):
         # the sampling experiment draws each trial's rows in time chunks

@@ -39,66 +39,65 @@ def traced_peak_bytes(fn):
         tracemalloc.stop()
 
 
+def monte_carlo_M(mdl, stream, n_mc, rows=10**4):
+    """Sample mean of (x . v1)^2 (P x)(P x)^T over n_mc rows of model.sample_x,
+    drawn `rows` at a time, with the entrywise standard error of that mean."""
+    total = total_sq = 0.0
+    for first in range(0, n_mc, rows):
+        x = model.sample_x(mdl, stream, min(rows, n_mc - first))
+        s = x @ mdl.v1
+        y = x @ mdl.v_perp
+        terms = (s * s)[:, None, None] * (y[:, :, None] * y[:, None, :])
+        total = total + terms.sum(axis=0)
+        total_sq = total_sq + np.square(terms).sum(axis=0)
+    mean = total / n_mc
+    return mean, np.sqrt(np.maximum(total_sq / n_mc - mean**2, 0.0) / n_mc)
+
+
 class TestEstimateM:
     def test_two_point_law_orthogonal_support(self):
         sup = np.array([[1.0, 0.0], [-1.0, 0.0]])
         mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.array([0.5, 0.5])))
-        m = reference.estimate_M(mdl, None, n_mc=1)
+        m = reference.estimate_M(mdl)
         np.testing.assert_array_equal(m, [[0.0]])
 
     def test_product_moment_diag_law(self):
         # independent unit-variance coordinates: E[(x.v1)^2 (x.v2)^2] = lam1*lam2
         mdl = model.spectral_decompose(model.ExplicitSpec(np.diag([3.0, 1.2])))
-        m = reference.estimate_M(mdl, randgen.derive_stream(6, ("m2",)), n_mc=10**5)
-        se = 3.6 * np.sqrt(2.24) / np.sqrt(10**5)
-        assert abs(m[0, 0] - 3.6) <= 5 * se
+        np.testing.assert_allclose(reference.estimate_M(mdl), [[3.6]], rtol=1e-15)
 
     def test_discrete_exact_value(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
         mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        m = reference.estimate_M(mdl, None)
+        m = reference.estimate_M(mdl)
         # law has Sigma = diag(0.72, 0.54); E[x1^2 x2^2] = (2/3)*0.36*0.81
         np.testing.assert_allclose(m, [[0.1944]], atol=1e-15)
 
     def test_discrete_matches_monte_carlo(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
         mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        exact = reference.estimate_M(mdl, None)
-        x = model.sample_x(mdl, randgen.derive_stream(8, ("m3",)), 10**5)
-        s = x @ mdl.v1
-        y = x @ mdl.v_perp
-        terms = (s * s)[:, None, None] * (y[:, :, None] * y[:, None, :])
-        se = terms.std(axis=0) / np.sqrt(10**5)
-        assert np.all(np.abs(terms.mean(axis=0) - exact) <= 5 * np.maximum(se, 1e-12))
+        mean, se = monte_carlo_M(mdl, randgen.derive_stream(8, ("m3",)), 10**5)
+        assert np.all(np.abs(mean - reference.estimate_M(mdl)) <= 5 * np.maximum(se, 1e-12))
+
+    @pytest.mark.parametrize("spec", [
+        model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5),
+        model.ExplicitSpec(np.array([[3.0, 0.8, 0.4], [0.8, 2.0, -0.5], [0.4, -0.5, 1.0]])),
+    ], ids=["kernel", "explicit"])
+    def test_closed_form_matches_monte_carlo(self, spec):
+        mdl = model.spectral_decompose(spec)
+        mean, se = monte_carlo_M(mdl, randgen.derive_stream(9, ("m4",)), 10**5)
+        closed = reference.estimate_M(mdl)
+        assert np.all(np.abs(mean - closed) <= 5 * se)
+        # the draws also resolve the (kappa - 3) term: the Gaussian-law moment
+        # matrix lam1 * diag(lam_2, ..., lam_d) misses some entry by more than 5 SE
+        lam = mdl.eig.eigenvalues
+        assert np.any(np.abs(mean - lam[0] * np.diag(lam[1:])) > 5 * se)
 
     def test_psd_and_symmetric(self):
         mdl = kernel_model(8, 0.4, 0.5)
-        m = reference.estimate_M(mdl, randgen.derive_stream(7, ("mpsd",)), n_mc=5000)
+        m = reference.estimate_M(mdl)
         np.testing.assert_array_equal(m, m.T)
         assert np.linalg.eigvalsh(m).min() >= -1e-12
-
-    def test_continuous_requires_draws(self):
-        mdl = kernel_model(3, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            reference.estimate_M(mdl, randgen.derive_stream(0, ("x",)), n_mc=0)
-
-    def test_chunked_sum_matches_bulk_formula(self):
-        # one chunk and a partial one; the bulk formula draws the same Z in one call
-        mdl = kernel_model(30, 0.05, 0.8, scale=2.0)
-        n_mc = reference._MC_ROWS + 37
-        m = reference.estimate_M(mdl, randgen.derive_stream(16, ("edge",)), n_mc)
-        x = randgen.derive_stream(16, ("edge",)).uniform_sym((n_mc, 30)) @ mdl.sqrt_sigma
-        s = x @ mdl.v1
-        y = x @ mdl.v_perp
-        bulk = (y * (s * s)[:, None]).T @ y / n_mc
-        assert np.linalg.norm(m - bulk) <= 1e-12 * np.linalg.norm(bulk)
-
-    def test_memory_does_not_grow_with_draws(self):
-        # a one-shot (1e5, 100) draw alone would hold 80 MB
-        mdl = kernel_model(100, 0.01, 1.0, scale=5.0)
-        peak = traced_peak_bytes(
-            lambda: reference.estimate_M(mdl, randgen.derive_stream(17, ("mem",)), 10**5))
-        assert peak < 8 * 2**20
 
 
 class TestContractionRatios:
@@ -156,8 +155,7 @@ class TestAssembleVbar:
 class TestBuildReference:
     def test_range_is_complement_of_top_eigenvector(self):
         mdl = kernel_model(12, 0.2, 0.4)
-        ref = reference.build_reference(mdl, randgen.derive_stream(3, ("br",)),
-                                        np.log(500), 500, n_mc=4000)
+        ref = reference.build_reference(mdl, np.log(500), 500)
         assert np.linalg.norm(ref.vbar @ mdl.v1) <= 1e-10
         assert np.linalg.eigvalsh(ref.vbar).min() >= -1e-12
         assert ref.dim == 12
@@ -165,18 +163,17 @@ class TestBuildReference:
     def test_discrete_law_ignores_stream(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
         mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        ref = reference.build_reference(mdl, None, 1.0, 10)
+        ref = reference.build_reference(mdl, 1.0, 10)
         np.testing.assert_allclose(ref.m_matrix, [[0.1944]], atol=1e-15)
 
     def test_degenerate_gap_rejected(self):
         mdl = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
-            reference.build_reference(mdl, randgen.derive_stream(1, ("x",)), 1.0, 10)
+            reference.build_reference(mdl, 1.0, 10)
 
     def test_summary_keys(self):
         mdl = kernel_model(6, 0.5, 0.5)
-        ref = reference.build_reference(mdl, randgen.derive_stream(4, ("sm",)),
-                                        np.log(200), 200, n_mc=2000)
+        ref = reference.build_reference(mdl, np.log(200), 200)
         out = ref.summary(reference.chisq_weights(ref.vbar))
         assert set(out) == {"weights", "trace", "frobenius"}
         np.testing.assert_allclose(sum(out["weights"]), out["trace"], rtol=1e-10)
@@ -188,8 +185,7 @@ class TestBuildReference:
             mdl = kernel_model(d, c, beta, scale)
             gap = mdl.eigengap
             for n in (1000, 4000):
-                ref = reference.build_reference(
-                    mdl, randgen.derive_stream(42, ("mc", d, n)), np.log(n), n, n_mc=20000)
+                ref = reference.build_reference(mdl, np.log(n), n)
                 assert np.trace(ref.vbar) <= 2.0 * np.trace(ref.m_matrix) / gap
                 assert (linalg.frobenius_norm(ref.vbar)
                         <= 2.0 * linalg.frobenius_norm(ref.m_matrix) / gap)
