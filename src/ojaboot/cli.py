@@ -1,7 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for config
-problems (argparse also exits 2 on malformed flags, which matches).
+problems, among them a model whose top eigengap is too small for the reference
+law (argparse also exits 2 on malformed flags, which matches).
 
 `compare` runs two independent experiments. With `--threads` >= 2 (where the
 platform has `os.fork`) the bootstrap runs in a forked child while this process
@@ -18,7 +19,9 @@ import signal
 import sys
 from pathlib import Path
 
-from . import harness
+import numpy as np
+
+from . import harness, linalg, model
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,12 +78,12 @@ def _cmd_bootstrap(config, out: Path) -> int:
 
 def _cmd_reference(config, out: Path) -> int:
     res = harness.run_reference(config)
-    summary = res["reference"].summary(res["weights"])
+    vbar = res["vbar"]
     harness.write_cdf_csv(out / "reference_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "reference_summary.json", config,
-                               trace_vbar=summary["trace"],
-                               frob_vbar=summary["frobenius"],
-                               weights_top10=summary["weights"][:10],
+                               trace_vbar=float(np.trace(vbar)),
+                               frob_vbar=linalg.frobenius_norm(vbar),
+                               weights_top10=[float(x) for x in res["weights"].weights[:10]],
                                quantiles=res["quantiles"])
     return 0
 
@@ -170,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(config, out, args.threads)
         return _COMMANDS[args.command](config, out)
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, model.DegenerateGapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -253,24 +253,19 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _reference_weights(config: ExperimentConfig):
-    """The reference covariance and its chi-square weights."""
-    ref = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
-    return ref, reference.chisq_weights(ref.vbar)
-
-
 def run_reference(config: ExperimentConfig) -> dict:
     """Assemble the reference covariance and sample its weighted chi-square law.
 
     The draws are on the scale of (n/eta_n) * sin2, the units the limit law
     is stated in.
     """
-    ref, weights = _reference_weights(config)
+    vbar = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
+    weights = reference.chisq_weights(vbar)
     samples = reference.sample_weighted_chisq(weights, config.stream("mc", "chisq"),
                                               config.mc_chisq)
     cdf = stats.ecdf(samples)
     return {
-        "reference": ref,
+        "vbar": vbar,
         "weights": weights,
         "samples": samples,
         "cdf": cdf,
@@ -329,9 +324,7 @@ def _check_orthogonality(config: ExperimentConfig) -> dict:
             "passed": bool(worst <= 1e-10)}
 
 
-def _check_chisq_moments(config: ExperimentConfig, weights: reference.WeightedChiSq) -> dict:
-    draws = reference.sample_weighted_chisq(
-        weights, config.stream("verify", "moments"), config.mc_chisq)
+def _check_chisq_moments(draws, weights: reference.WeightedChiSq) -> dict:
     se_mean = np.sqrt(weights.variance / draws.size)
     mean_dev = abs(draws.mean() - weights.mean) / max(se_mean, 1e-300)
     m4 = float(np.mean((draws - draws.mean()) ** 4))
@@ -343,11 +336,8 @@ def _check_chisq_moments(config: ExperimentConfig, weights: reference.WeightedCh
             "bound": {"mean_sigmas": 4.0, "var_sigmas": 5.0}, "passed": bool(passed)}
 
 
-def _check_anticoncentration(config: ExperimentConfig,
-                             weights: reference.WeightedChiSq) -> dict:
-    out = reference.anticoncentration_check(
-        weights, 0.01, config.stream("verify", "anticoncentration"),
-        n_mc=config.mc_chisq)
+def _check_anticoncentration(draws) -> dict:
+    out = reference.anticoncentration_check(draws, 0.01)
     return {"name": "anticoncentration", "value": out["max_window_prob"],
             "bound": out["bound"], "passed": bool(out["pass"])}
 
@@ -359,12 +349,12 @@ def _check_covariance_rate(config: ExperimentConfig) -> dict:
     medians = {}
     for n in (500, 2000):
         eta = float(np.log(n))
-        ref = reference.build_reference(mdl, eta, n)
+        vbar = reference.build_reference(mdl, eta, n)
         diffs = []
         for j in range(21):
             data = model.sample_x(mdl, config.stream("verify", "rate", n, j), n)
             cov = bootstrap.bootstrap_covariance(data, mdl, eta)
-            diffs.append(abs(float(np.trace(cov - ref.vbar))))
+            diffs.append(abs(float(np.trace(cov - vbar))))
         medians[n] = float(np.median(diffs))
     ratio = medians[500] / max(medians[2000], 1e-300)
     return {"name": "covariance_rate", "value": ratio, "bound": [1.3, 5.0],
@@ -392,15 +382,20 @@ def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
 
 def verify(config: ExperimentConfig) -> dict:
     """Run the named self-checks; each appears exactly once in the report. The
-    chi-square checks take the weights of `run_reference` and draw their own
-    samples, so the reference law's own sample is never drawn here."""
-    _, weights = _reference_weights(config)
+    two chi-square checks read one sample of `mc_chisq` draws from ("verify",
+    "moments"): the law of `run_reference`'s weights scaled to unit weights, the
+    scale the anti-concentration bound is stated at. The moment check's sigma
+    ratios are scale-free. The reference law's own sample is never drawn."""
+    vbar = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
+    unit = reference.chisq_weights(vbar).unit()
+    draws = reference.sample_weighted_chisq(unit, config.stream("verify", "moments"),
+                                            config.mc_chisq)
     checks = [
         _check_hoeffding(config, with_multipliers=False),
         _check_hoeffding(config, with_multipliers=True),
         _check_orthogonality(config),
-        _check_chisq_moments(config, weights),
-        _check_anticoncentration(config, weights),
+        _check_chisq_moments(draws, unit),
+        _check_anticoncentration(draws),
         _check_covariance_rate(config),
         _check_vbar_closed_form(config),
     ]

@@ -19,7 +19,7 @@ import numpy as np
 
 
 class NotPsdError(ValueError):
-    """Matrix handed to sqrt_psd has an eigenvalue below the PSD tolerance."""
+    """A matrix or spectrum has an eigenvalue below the PSD tolerance."""
 
 
 def sym(a) -> np.ndarray:

@@ -7,9 +7,13 @@ ingredients: a fourth-moment matrix of the data law expressed in the
 complement of the top eigenvector, and the geometric decay ratios of the
 deflated one-step update. The moment matrix is exact: a sum over the
 support for a discrete law, and a closed form in the eigenbasis and the
-fourth moment of the sampling law for a continuous one. Only the
-chi-square draws are Monte Carlo; they stream through fixed row chunks, so
-their memory is O(chunk * d) rather than O(n_mc * d).
+fourth moment of the sampling law for a continuous one. The covariance is a
+plain d x d array (`build_reference`), and its spectrum is the weight vector
+of a `WeightedChiSq`. Only the chi-square draws are Monte Carlo; they stream
+through fixed row chunks, so their memory is O(chunk * d) rather than
+O(n_mc * d). The anti-concentration check is a statistic of such a sample,
+drawn from the law scaled to unit weights, so one sample can serve it and a
+moment check alike.
 """
 
 from __future__ import annotations
@@ -20,16 +24,14 @@ import numpy as np
 
 from . import linalg, model, randgen, stats
 
-MC_DEFAULT = 10**5
 _GRID_POINTS = 200
 
 # |1 - r| below this switches the geometric sum to its n-term limit
 _TIE_TOL = 1e-12
-# an eigenvalue below -1e-8 * op-norm means the matrix is not PSD, and a
-# weight below +1e-8 * the largest is roundoff that draws no chi-square column
+# a weight below -1e-8 * max|w| means the covariance is not PSD; one in
+# [-1e-8, 0) * max|w| clamps to zero, and one below +1e-8 * the largest is
+# roundoff that draws no chi-square column
 _WEIGHT_FLOOR_RTOL = 1e-8
-# constructor clamps weights in [-1e-12, 0) to zero, rejects below
-_WEIGHT_CLAMP = 1e-12
 # chi-square rows drawn per chunk: 512 x d floats (400 KB at d = 100) stay in
 # cache, and as a multiple of 4 the chunk keeps OpenBLAS's 4-row matrix-vector
 # grouping, so chunked chi-square draws equal one-shot ones bit for bit
@@ -37,60 +39,11 @@ _MC_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceCovariance:
-    """Closed-form covariance of the projected error after n steps.
-
-    m_matrix lives in the (d-1)-dimensional complement coordinates where
-    the geometric sum diagonalizes; vbar is the same object conjugated
-    back to the full d-dimensional frame.
-    """
-
-    m_matrix: np.ndarray
-    lambda_perp: np.ndarray
-    vbar: np.ndarray
-    eta_n: float
-    n: int
-
-    def __post_init__(self):
-        m = np.asarray(self.m_matrix, dtype=float)
-        lp = np.asarray(self.lambda_perp, dtype=float)
-        vb = np.asarray(self.vbar, dtype=float)
-        k = lp.shape[0] if lp.ndim == 1 else -1
-        if lp.ndim != 1 or m.shape != (k, k) or vb.shape != (k + 1, k + 1):
-            raise ValueError("inconsistent reference shapes")
-        if np.any(lp <= 0.0) or np.any(lp > 1.0):
-            raise ValueError("decay ratios must lie in (0, 1]")
-        if np.any(np.diff(lp) > 1e-15):
-            raise ValueError("decay ratios must be nonincreasing")
-        scale = max(1.0, float(np.abs(vb).max()))
-        if np.abs(vb - vb.T).max() > 1e-10 * scale:
-            raise ValueError("vbar must be symmetric")
-        if not (self.eta_n > 0.0) or self.n < 1:
-            raise ValueError("need eta_n > 0 and n >= 1")
-        object.__setattr__(self, "m_matrix", m)
-        object.__setattr__(self, "lambda_perp", lp)
-        object.__setattr__(self, "vbar", vb)
-
-    @property
-    def dim(self) -> int:
-        return self.vbar.shape[0]
-
-    def summary(self, w: WeightedChiSq) -> dict:
-        """Scalars the experiment harness serializes: spectrum, trace, Frobenius norm.
-        w is chisq_weights(self.vbar), passed in so vbar is decomposed only once."""
-        return {
-            "weights": [float(x) for x in w.weights],
-            "trace": float(np.trace(self.vbar)),
-            "frobenius": linalg.frobenius_norm(self.vbar),
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class WeightedChiSq:
     """Law of sum_r weights[r] * xi_r with xi_r iid chi-square(1).
 
-    Weights are canonicalized on construction: values in [-1e-12, 0)
-    clamp to zero, anything lower is rejected, order is descending.
+    Weights are canonicalized on construction: values in [-1e-8, 0) * max|w|
+    clamp to zero, anything lower is rejected as not PSD, order is descending.
     """
 
     weights: np.ndarray
@@ -99,8 +52,8 @@ class WeightedChiSq:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
             raise ValueError("weights must be a nonempty finite vector")
-        if w.min() < -_WEIGHT_CLAMP:
-            raise ValueError("weights must be nonnegative up to clamping tolerance")
+        if w.min() < -_WEIGHT_FLOOR_RTOL * np.abs(w).max():
+            raise linalg.NotPsdError("covariance has a significantly negative eigenvalue")
         w = np.ascontiguousarray(np.sort(np.maximum(w, 0.0))[::-1])
         object.__setattr__(self, "weights", w)
 
@@ -111,6 +64,13 @@ class WeightedChiSq:
     @property
     def variance(self) -> float:
         return float(2.0 * np.sum(self.weights**2))
+
+    def unit(self) -> WeightedChiSq:
+        """The same law with weights scaled so their squares sum to one."""
+        norm = float(np.sqrt(np.sum(self.weights**2)))
+        if norm == 0.0:
+            raise ValueError("unit scaling needs a nonzero weight")
+        return WeightedChiSq(self.weights / norm)
 
 
 def estimate_M(mdl: model.SpectralModel) -> np.ndarray:
@@ -178,24 +138,18 @@ def assemble_vbar(m_matrix, lambda_perp, eta_n: float, n: int, v_perp) -> np.nda
     return linalg.sym((eta_n / n) * np.einsum("il,jl->ij", inner, v))
 
 
-def build_reference(mdl: model.SpectralModel, eta_n: float, n: int) -> ReferenceCovariance:
-    """Compute the moment matrix and assemble the full reference covariance."""
+def build_reference(mdl: model.SpectralModel, eta_n: float, n: int) -> np.ndarray:
+    """The d x d reference covariance vbar of the projected error after n steps."""
+    if not eta_n > 0.0:
+        raise ValueError("need eta_n > 0")
     mdl.require_gap()
-    m = estimate_M(mdl)
-    lp = contraction_ratios(mdl, eta_n, n)
-    vbar = assemble_vbar(m, lp, eta_n, n, mdl.v_perp)
-    return ReferenceCovariance(m_matrix=m, lambda_perp=lp, vbar=vbar,
-                               eta_n=float(eta_n), n=int(n))
+    return assemble_vbar(estimate_M(mdl), contraction_ratios(mdl, eta_n, n), eta_n, n,
+                         mdl.v_perp)
 
 
 def chisq_weights(vbar) -> WeightedChiSq:
     """Spectrum of the covariance, clamped at zero, as chi-square weights."""
-    dec = linalg.eigh(linalg.sym(np.asarray(vbar, dtype=float)))
-    vals = dec.eigenvalues
-    op = float(np.abs(vals).max())
-    if vals.min() < -_WEIGHT_FLOOR_RTOL * op:
-        raise linalg.NotPsdError("covariance has a significantly negative eigenvalue")
-    return WeightedChiSq(weights=vals)
+    return WeightedChiSq(linalg.eigh(vbar).eigenvalues)
 
 
 def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
@@ -216,21 +170,19 @@ def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
     return out
 
 
-def anticoncentration_check(w: WeightedChiSq, h: float, stream,
-                            n_mc: int = MC_DEFAULT) -> dict:
+def anticoncentration_check(draws, h: float) -> dict:
     """Empirically test the window-probability bound sqrt(4h/pi).
 
-    Weights are first normalized so their squares sum to one, which is the
-    scale the bound is stated at. The max window probability is taken over
-    a uniform grid spanning the empirical [0.1%, 99.9%] quantile range, and
-    passing allows a three-sigma Monte Carlo slack on top of the bound.
+    draws is a sample of a weighted chi-square law with unit weights
+    (WeightedChiSq.unit()), the scale the bound is stated at. The max window
+    probability is taken over a uniform grid spanning the empirical
+    [0.1%, 99.9%] quantile range, and passing allows a three-sigma Monte
+    Carlo slack on top of the bound.
     """
     if h <= 0.0:
         raise ValueError("window width must be positive")
-    norm = float(np.sqrt(np.sum(w.weights**2)))
-    if norm == 0.0:
-        raise ValueError("anticoncentration needs a nonzero weight")
-    draws = np.sort(sample_weighted_chisq(WeightedChiSq(w.weights / norm), stream, n_mc))
+    draws = np.sort(draws)
+    n_mc = draws.size
     cdf = stats.EmpiricalCdf(draws)
     grid = np.linspace(cdf.quantile(0.001), cdf.quantile(0.999), _GRID_POINTS)
     counts = (np.searchsorted(draws, grid + h, side="right")

@@ -61,6 +61,16 @@ class TestExitCodes:
         assert cli.main(["reference", "--config", str(config_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reference", "verify"])
+    def test_degenerate_eigengap_is_config_error(self, tmp_path, capsys, command):
+        # strong correlation and equal scales leave no usable top eigengap
+        p = tmp_path / "flat.json"
+        p.write_text(json.dumps({"c": 50, "beta": 0, "d": 10,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert cli.main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "eigengap" in err
+
     def test_negative_seed_is_config_error(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path), "--seed", "-4"]) == 2
 
@@ -97,6 +107,15 @@ class TestExitCodes:
 
     def test_success_is_zero(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["reference", "verify"])
+    def test_large_scale_reference_is_zero(self, tmp_path, command):
+        # vbar's null eigenvalue rounds to ~1e-16 * |vbar|, about -3e-8 here; the
+        # weights clamp it relative to the largest weight, not against a fixed -1e-12
+        p = tmp_path / "large.json"
+        p.write_text(json.dumps({"scale": 1000, "d": 20, "n": 500, "mc_chisq": 1000,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert cli.main([command, "--config", str(p)]) == 0
 
     def test_verify_failure_is_one(self, config_path, monkeypatch):
         from ojaboot import hoeffding

@@ -267,15 +267,15 @@ class TestReferenceRun:
         res = harness.run_reference(tiny_config())
         w = res["weights"].weights
         assert np.all(w >= 0)
-        assert sum(w) == pytest.approx(float(np.trace(res["reference"].vbar)), abs=1e-8)
+        assert sum(w) == pytest.approx(float(np.trace(res["vbar"])), abs=1e-8)
         assert np.all(res["samples"] >= 0)
 
     def test_d2_single_weight_closed_form(self):
         cfg = tiny_config(d=2)
         res = harness.run_reference(cfg)
-        ref = res["reference"]
-        r = float(ref.lambda_perp[0]) ** 2
-        m = float(ref.m_matrix[0, 0])
+        mdl = cfg.spectral_model()
+        r = float(reference.contraction_ratios(mdl, cfg.eta_n, cfg.n)[0]) ** 2
+        m = float(reference.estimate_M(mdl)[0, 0])
         expected = (cfg.eta_n / cfg.n) * m * (1 - r**cfg.n) / (1 - r)
         assert res["weights"].weights[0] == pytest.approx(expected, rel=1e-10)
 
@@ -366,12 +366,22 @@ class TestVerify:
         assert ("mc", "m_estimate") not in paths
         assert not any(p[:2] == ("verify", "rate_m") for p in paths)
         assert ("mc", "chisq") not in paths
+        # both chi-square checks read one sample, drawn once
+        assert ("verify", "anticoncentration") not in paths
+        assert paths.count(("verify", "moments")) == 1
         by_name = {c["name"]: c for c in checks}
-        # the same weights as run_reference's
-        expected = reference.anticoncentration_check(
-            harness.run_reference(cfg)["weights"], 0.01,
-            orig(cfg.master_seed, ("verify", "anticoncentration")), n_mc=cfg.mc_chisq)
+        # the unit-scaled law of the same weights as run_reference's
+        unit = harness.run_reference(cfg)["weights"].unit()
+        draws = reference.sample_weighted_chisq(
+            unit, orig(cfg.master_seed, ("verify", "moments")), cfg.mc_chisq)
+        expected = reference.anticoncentration_check(draws, 0.01)
         assert by_name["anticoncentration"]["value"] == expected["max_window_prob"]
+        se_mean = np.sqrt(unit.variance / draws.size)
+        m4 = np.mean((draws - draws.mean()) ** 4)
+        se_var = np.sqrt((m4 - draws.var() ** 2) / draws.size)
+        assert by_name["chisq_moments"]["value"] == {
+            "mean_sigmas": float(abs(draws.mean() - unit.mean) / se_mean),
+            "var_sigmas": float(abs(draws.var() - unit.variance) / se_var)}
 
     def test_hoeffding_exactness_survives_cancellation(self):
         # Default config, seed 5: the n=6, d=3, eta=log 6 case sums subset terms

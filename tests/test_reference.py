@@ -155,74 +155,50 @@ class TestAssembleVbar:
 class TestBuildReference:
     def test_range_is_complement_of_top_eigenvector(self):
         mdl = kernel_model(12, 0.2, 0.4)
-        ref = reference.build_reference(mdl, np.log(500), 500)
-        assert np.linalg.norm(ref.vbar @ mdl.v1) <= 1e-10
-        assert np.linalg.eigvalsh(ref.vbar).min() >= -1e-12
-        assert ref.dim == 12
+        vbar = reference.build_reference(mdl, np.log(500), 500)
+        assert np.linalg.norm(vbar @ mdl.v1) <= 1e-10
+        assert np.linalg.eigvalsh(vbar).min() >= -1e-12
+        assert vbar.shape == (12, 12)
 
     def test_discrete_law_ignores_stream(self):
+        # no stream to ignore any more: a discrete law's vbar is its support sum
+        # M = [[0.1944]] (TestEstimateM), assembled
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
         mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        ref = reference.build_reference(mdl, 1.0, 10)
-        np.testing.assert_allclose(ref.m_matrix, [[0.1944]], atol=1e-15)
+        vbar = reference.build_reference(mdl, 1.0, 10)
+        lp = reference.contraction_ratios(mdl, 1.0, 10)
+        np.testing.assert_allclose(
+            vbar, reference.assemble_vbar([[0.1944]], lp, 1.0, 10, mdl.v_perp), atol=1e-15)
 
     def test_degenerate_gap_rejected(self):
         mdl = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
             reference.build_reference(mdl, 1.0, 10)
 
+    def test_nonpositive_eta_rejected(self):
+        with pytest.raises(ValueError):
+            reference.build_reference(kernel_model(4, 0.5, 0.5), 0.0, 10)
+
     def test_summary_keys(self):
+        # the three scalars reference_summary.json records agree: the descending
+        # weights sum to trace_vbar, and their l2 norm is frob_vbar
         mdl = kernel_model(6, 0.5, 0.5)
-        ref = reference.build_reference(mdl, np.log(200), 200)
-        out = ref.summary(reference.chisq_weights(ref.vbar))
-        assert set(out) == {"weights", "trace", "frobenius"}
-        np.testing.assert_allclose(sum(out["weights"]), out["trace"], rtol=1e-10)
-        assert out["weights"] == sorted(out["weights"], reverse=True)
+        vbar = reference.build_reference(mdl, np.log(200), 200)
+        w = reference.chisq_weights(vbar).weights
+        np.testing.assert_allclose(w.sum(), np.trace(vbar), rtol=1e-10)
+        np.testing.assert_allclose(np.linalg.norm(w), linalg.frobenius_norm(vbar), rtol=1e-10)
+        np.testing.assert_array_equal(w, np.sort(w)[::-1])
 
     def test_trace_and_frobenius_bounds(self):
         # damped geometric sum against the eigengap, tested at C = 2
         for d, c, beta, scale in [(20, 0.5, 0.5, 1.0), (50, 0.01, 1.0, 5.0)]:
             mdl = kernel_model(d, c, beta, scale)
             gap = mdl.eigengap
+            m = reference.estimate_M(mdl)
             for n in (1000, 4000):
-                ref = reference.build_reference(mdl, np.log(n), n)
-                assert np.trace(ref.vbar) <= 2.0 * np.trace(ref.m_matrix) / gap
-                assert (linalg.frobenius_norm(ref.vbar)
-                        <= 2.0 * linalg.frobenius_norm(ref.m_matrix) / gap)
-
-
-class TestReferenceCovarianceValidation:
-    def good_kwargs(self):
-        return dict(m_matrix=np.eye(2), lambda_perp=np.array([0.9, 0.8]),
-                    vbar=np.eye(3) * 0.1, eta_n=1.0, n=5)
-
-    def test_accepts_consistent_fields(self):
-        ref = reference.ReferenceCovariance(**self.good_kwargs())
-        assert ref.n == 5
-
-    def test_rejects_ratio_out_of_range(self):
-        kw = self.good_kwargs()
-        kw["lambda_perp"] = np.array([1.1, 0.8])
-        with pytest.raises(ValueError):
-            reference.ReferenceCovariance(**kw)
-
-    def test_rejects_increasing_ratios(self):
-        kw = self.good_kwargs()
-        kw["lambda_perp"] = np.array([0.8, 0.9])
-        with pytest.raises(ValueError):
-            reference.ReferenceCovariance(**kw)
-
-    def test_rejects_asymmetric_vbar(self):
-        kw = self.good_kwargs()
-        kw["vbar"] = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        with pytest.raises(ValueError):
-            reference.ReferenceCovariance(**kw)
-
-    def test_rejects_shape_mismatch(self):
-        kw = self.good_kwargs()
-        kw["vbar"] = np.eye(4)
-        with pytest.raises(ValueError):
-            reference.ReferenceCovariance(**kw)
+                vbar = reference.build_reference(mdl, np.log(n), n)
+                assert np.trace(vbar) <= 2.0 * np.trace(m) / gap
+                assert linalg.frobenius_norm(vbar) <= 2.0 * linalg.frobenius_norm(m) / gap
 
 
 class TestChisqWeights:
@@ -258,8 +234,23 @@ class TestChisqWeights:
         assert w.weights.flags.c_contiguous
 
     def test_constructor_rejects_significant_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(linalg.NotPsdError):
             reference.WeightedChiSq([1.0, -1e-6])
+
+    def test_roundoff_negative_is_relative_to_the_largest_weight(self):
+        # vbar's null eigenvalue rounds to ~1e-16 * |vbar|, far below -1e-12 at
+        # large scale; it clamps to zero, and the same ratio clamps at any scale
+        for scale in (1.0, 1e6):
+            w = reference.WeightedChiSq(scale * np.array([1.0, -3e-9]))
+            np.testing.assert_array_equal(w.weights, [scale, 0.0])
+        with pytest.raises(linalg.NotPsdError):
+            reference.WeightedChiSq([1e6, -0.1])
+
+    def test_unit_scales_squares_to_one(self):
+        w = reference.WeightedChiSq([3.0, 4.0, 0.0]).unit()
+        np.testing.assert_array_equal(w.weights, [0.8, 0.6, 0.0])
+        assert w.variance == pytest.approx(2.0)
+
 
 
 class TestSampleWeightedChisq:
@@ -349,45 +340,43 @@ class TestImhofOracle:
                                    1.0 - np.exp(-self.x / 2) * (1.0 + self.x / 2), atol=1e-4)
 
 
+def unit_draws(weights, path, n_mc):
+    return reference.sample_weighted_chisq(reference.WeightedChiSq(weights).unit(),
+                                           randgen.derive_stream(5, path), n_mc)
+
+
 class TestAnticoncentration:
     def test_single_weight_passes(self):
-        out = reference.anticoncentration_check(
-            reference.WeightedChiSq([1.0]), 0.01, randgen.derive_stream(5, ("ac", 1)),
-            n_mc=10**5)
+        out = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**5), 0.01)
         assert out["pass"]
         assert out["bound"] == pytest.approx(np.sqrt(0.04 / np.pi))
         assert 0.0 < out["max_window_prob"] <= out["bound"]
 
     def test_huge_window_vacuous(self):
-        out = reference.anticoncentration_check(
-            reference.WeightedChiSq([1.0]), 100.0, randgen.derive_stream(5, ("ac", 2)),
-            n_mc=10**4)
+        out = reference.anticoncentration_check(unit_draws([1.0], ("ac", 2), 10**4), 100.0)
         assert out["bound"] > 1.0 and out["pass"]
 
     def test_many_equal_weights_flatten_the_law(self):
-        one = reference.anticoncentration_check(
-            reference.WeightedChiSq([1.0]), 0.01, randgen.derive_stream(5, ("ac", 1)),
-            n_mc=10**5)
+        one = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**5), 0.01)
         many = reference.anticoncentration_check(
-            reference.WeightedChiSq(np.ones(50)), 0.01, randgen.derive_stream(5, ("ac", 50)),
-            n_mc=10**5)
+            unit_draws(np.ones(50), ("ac", 50), 10**5), 0.01)
         assert many["max_window_prob"] < 0.5 * one["max_window_prob"]
 
     def test_scale_invariance(self):
-        a = reference.anticoncentration_check(
-            reference.WeightedChiSq([5.0]), 0.01, randgen.derive_stream(5, ("ac", 1)),
-            n_mc=10**4)
-        b = reference.anticoncentration_check(
-            reference.WeightedChiSq([1.0]), 0.01, randgen.derive_stream(5, ("ac", 1)),
-            n_mc=10**4)
+        a = reference.anticoncentration_check(unit_draws([5.0], ("ac", 1), 10**4), 0.01)
+        b = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**4), 0.01)
         assert a == b
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            reference.anticoncentration_check(
-                reference.WeightedChiSq([0.0]), 0.01, randgen.derive_stream(5, ("ac", 3)))
+            reference.WeightedChiSq([0.0]).unit()
+
+    def test_does_not_reorder_the_sample(self):
+        draws = unit_draws([1.0, 0.5], ("ac", 5), 1000)
+        kept = draws.copy()
+        reference.anticoncentration_check(draws, 0.01)
+        np.testing.assert_array_equal(draws, kept)
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
-            reference.anticoncentration_check(
-                reference.WeightedChiSq([1.0]), 0.0, randgen.derive_stream(5, ("ac", 4)))
+            reference.anticoncentration_check(unit_draws([1.0], ("ac", 4), 100), 0.0)
