@@ -8,12 +8,12 @@ floats are serialized through repr, which keeps reruns byte-identical. The
 runners share no state, so the CLI may run two of them in separate processes
 (compare's sampling and bootstrap, under --threads >= 2) without a byte changing.
 
-Each runner is one loop over `oja.advance` on blocks of up to 512 rows, whose
-rows are right only up to a power-of-two scale until `oja.unit_rows` divides them
-by their norms, once, at the end of the pass. Sampling runs each trial block
-through time chunks of 4096 // rows steps. The bootstrap loops over time: each
-256-step chunk of its one dataset is drawn once and moves v_hat and then every
-replicate block, so its memory is O((chunk + replicates) d), not O(n d).
+Each runner is one loop over `oja.advance` on blocks of rows, whose rows are
+right only up to a power-of-two scale until `oja.unit_rows` divides them by their
+norms, once, at the end of the pass. Sampling moves blocks of up to 128 trials
+through time chunks whose coordinates fill one buffer. The bootstrap loops over
+time: each 256-step chunk of its one dataset is drawn once and moves v_hat and
+then every replicate block, so its memory is O((chunk + replicates) d), not O(n d).
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ import numpy as np
 
 from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stats
 
-# The row cap bounds temporaries and draw calls at very large counts; as a multiple
-# of 4 it keeps OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
+# The row caps bound temporaries and draw calls at very large counts; as multiples
+# of 4 they keep OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
 # depends on where blocks end. A bootstrap chunk draws its data rows once and one
-# multiplier row per replicate. A sampling chunk (rows x steps <= _SAMPLING_ROWS)
-# takes one uniform draw per trial and one product by Sigma^(1/2); its two buffers
-# hold 2 x _SAMPLING_ROWS x d floats (6.6 MB at d = 100) whatever the trial count.
+# multiplier row per replicate. A sampling chunk takes one uniform draw per trial into
+# one buffer of _SAMPLING_FLOATS coordinates (1.25 MiB; 12 steps per draw at d = 100).
 _BLOCK = 512
 _BOOTSTRAP_STEPS = 256
-_SAMPLING_ROWS = 4096
+_SAMPLING_BLOCK = 128
+_SAMPLING_FLOATS = 160 * 1024
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
 
@@ -188,19 +188,17 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
-    draws = np.empty(_SAMPLING_ROWS * config.d)
-    x = np.empty_like(draws)
+    buf = np.empty(max(_SAMPLING_FLOATS, min(config.trials, _SAMPLING_BLOCK) * config.d))
     blocks = []
-    for first in range(0, config.trials, _BLOCK):
+    for first in range(0, config.trials, _SAMPLING_BLOCK):
         streams = [config.stream("trial", j)
-                   for j in range(first, min(first + _BLOCK, config.trials))]
+                   for j in range(first, min(first + _SAMPLING_BLOCK, config.trials))]
         w = oja.start(u0, len(streams))
-        step = _SAMPLING_ROWS // len(streams)
+        step = max(1, _SAMPLING_FLOATS // (len(streams) * config.d))
         for lo in range(0, config.n, step):
             shape = (len(streams), min(step, config.n - lo), config.d)
-            size = math.prod(shape)
-            w = oja.advance(w, model.sample_paths(mdl, streams, draws[:size].reshape(shape),
-                                                  x[:size].reshape(shape)), eta)
+            z = model.sample_paths(mdl, streams, buf[:math.prod(shape)].reshape(shape))
+            w = oja.advance(w, z, eta, root=mdl.sqrt_sigma)
         blocks.append(w)
     errors = np.array([oja.sin2(row, mdl.v1) for row in _unit_rows(np.vstack(blocks), config)])
     scaled = (config.n / config.eta_n) * errors
@@ -431,7 +429,11 @@ def write_summary_json(path, config: ExperimentConfig, **fields) -> None:
         raise ValueError(f"unknown summary fields: {sorted(unknown)}")
     payload = {key: fields.get(key) for key in _SUMMARY_KEYS}
     payload["config_echo"] = config.echo()
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:  # strict JSON: no inf and no nan
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"a summary value is out of the floating-point range: {exc}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def _svg_steps(cdf: stats.EmpiricalCdf):

@@ -76,7 +76,10 @@ def eigh(a) -> EigenDecomposition:
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    """Computed on a scaled by a power of two to max |a_ij| in [1/2, 1): no square overflows."""
+    a = np.asarray(a, dtype=float)
+    _, k = np.frexp(np.abs(a).max(initial=0.0))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -k)), k))
 
 
 def sqrt_psd(a, dec: EigenDecomposition | None = None) -> np.ndarray:

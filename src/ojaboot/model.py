@@ -165,24 +165,21 @@ def sample_x(model: SpectralModel, stream: RngStream, size: int) -> np.ndarray:
     return stream.uniform_sym((size, model.dim)) @ model.sqrt_sigma
 
 
-def sample_paths(model: SpectralModel, streams, draws: np.ndarray, out: np.ndarray):
-    """Fill out, a C-contiguous (m, T, d) array, with the next T samples of each of m
-    streams: row i holds what sample_x(model, streams[i], T) returns, up to the rounding
-    of one product by Sigma^{1/2} for all m T samples. draws, of the same shape, is
-    scratch for the Z coordinates; both buffers can be reused from call to call."""
-    d = model.dim
+def sample_paths(model: SpectralModel, streams, out: np.ndarray):
+    """Fill out, a C-contiguous (m, T, d) array that can be reused from call to call,
+    with the coordinates Z of the next T samples of each of m streams: row i holds
+    streams[i].uniform_sym((T, d)), and Z[i] @ Sigma^{1/2} is what
+    sample_x(model, streams[i], T) returns, up to the rounding of that product.
+    `oja.advance` forms the product one step at a time."""
     if isinstance(model.sampling_law, DiscreteSpec):
         raise ValueError("sample_paths draws continuous laws; use sample_x for a discrete one")
-    if (out.shape != draws.shape or out.ndim != 3 or out.shape[0] != len(streams)
-            or out.shape[2] != d or not out.flags.c_contiguous
-            or not draws.flags.c_contiguous):
-        raise ValueError(f"buffers of shapes {draws.shape} and {out.shape} are not C-contiguous "
-                         f"(m, T, d) with m = {len(streams)} streams and d = {d}")
-    for row, stream in zip(draws, streams):
+    if (out.ndim != 3 or out.shape[0] != len(streams) or out.shape[2] != model.dim
+            or not out.flags.c_contiguous):
+        raise ValueError(f"a buffer of shape {out.shape} is not a C-contiguous (m, T, d) "
+                         f"array with m = {len(streams)} streams and d = {model.dim}")
+    for row, stream in zip(out, streams):
         stream.uniform01(out=row)
-    to_symmetric(draws)  # each stream's uniform_sym values, mapped in one pass
-    np.matmul(draws.reshape(-1, d), model.sqrt_sigma, out=out.reshape(-1, d))
-    return out
+    return to_symmetric(out)  # each stream's uniform_sym values, mapped in one pass
 
 
 def enumerate_outcomes(spec: DiscreteSpec, n: int):

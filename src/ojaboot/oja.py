@@ -14,10 +14,10 @@ Where a rescale falls therefore changes no bit of the direction, and
 `unit_rows` divides by the norm once, at the end of a pass. The default rate
 rule is eta_n = log n, overridable everywhere.
 
-`advance` moves a block of iterates through a chunk of samples, with the
-`bootstrap` multiplier update when given multipliers; the experiment runners
-call it directly, chunk by chunk. `run` is the library's one-row call over a
-whole dataset, not the runners' path.
+`advance` moves a block of iterates through a chunk of samples, shared (with the
+`bootstrap` multiplier update when given multipliers) or per row, where sampling
+passes coordinates and Sigma^{1/2} for it to multiply a step at a time. `run` is
+the library's one-row call over a whole dataset, not the runners' path.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ def _rescale(w) -> None:
     np.ldexp(w, -exponents[:, None], out=w)
 
 
-def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
-    """The (m, d) block w (left unmodified) after one time chunk of samples x:
-    (T, d) shared by all rows or (m, T, d) per row. mult is the rows' (m, T)
-    multipliers or None for plain Oja, and needs shared samples; prev is the sample
-    before the chunk, or None at the start of the pass, whose first step is plain
-    Oja. Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
+def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
+    """The (m, d) block w (left unmodified) after one time chunk of samples x: (T, d)
+    shared by all rows, or (m, T, d) per row, where given a (d, d) root x holds
+    coordinates z and row i steps on z[i, t] @ root, formed a step at a time. mult is
+    the rows' (m, T) multipliers or None for plain Oja, and needs shared samples; prev
+    is the sample before the chunk, or None at the start of the pass, whose first step
+    is plain Oja. Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
     w = np.array(w, dtype=float)
     x = np.asarray(x, dtype=float)
     shared = x.ndim == 2
@@ -81,15 +82,16 @@ def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
     prev = None if prev is None else np.asarray(prev, dtype=float)
     if mult is not None and mult.shape != (m, steps):
         raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
-    if mult is not None and not shared:
-        raise ValueError("multipliers need samples shared by all rows")
+    if mult is not None and not shared or root is not None and shared:
+        raise ValueError("multipliers need samples shared by all rows, a root per-row ones")
 
-    # Step t applies I + E_t with ||E_t|| <= e_t, so it scales a row's norm by a factor
-    # in [1 - e_t, 1 + e_t]: by at most -log2(1 - e_t) bits either way, or any amount
-    # once e_t >= 1. The bootstrap step has E = eta ((1 + W) x x^T - W p p^T).
+    # Step t applies I + E_t with ||E_t|| <= e_t: it moves a row's norm by at most
+    # -log2(1 - e_t) bits, any amount once e_t >= 1, and as a plain step with eta > 0
+    # only grows it, by at most log2(1 + e_t) bits. The bootstrap step has E = eta
+    # ((1 + W) x x^T - W p p^T); ||z_t @ root|| <= ||z_t|| max_i sum_j |root_ij|.
     xx = (x[..., None, :] @ x[..., None])[..., 0, 0]  # squared norms, no buffer of x's size
     if not shared:
-        xx = xx.max(axis=0)
+        xx = xx.max(axis=0) * (1.0 if root is None else np.abs(root).sum(axis=1).max() ** 2)
     e = abs(eta) * xx
     if mult is not None and steps:
         wmax = np.maximum(mult.max(axis=0), -mult.min(axis=0))  # no (m, T) temporary
@@ -97,14 +99,14 @@ def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
         if prev is None:
             wmax[0] = 0.0  # the first step is plain Oja and reads no multiplier
         e += abs(eta) * wmax * (xx + pp)
-    bits = np.full(steps, np.inf)
-    bits[e < 1.0] = -np.log2(1.0 - e[e < 1.0])
+    if eta > 0.0 and mult is None:
+        bits = np.log2(1.0 + e)
+    else:
+        bits = np.full(steps, np.inf)
+        bits[e < 1.0] = -np.log2(1.0 - e[e < 1.0])
     bits = bits.tolist()
 
-    def dots(a, b):
-        # a shared sample: one matrix-vector product; per row: vector dots a_i @ b_i
-        return a @ b if b.ndim == 1 else (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
+    slab = None if shared else np.empty_like(w)
     coef = np.empty((m, 2))
     moved = np.inf  # the input's norms are unknown: rescale before the first step
     # a step too large for any rescale leaves inf or nan, which unit_rows reports
@@ -114,8 +116,12 @@ def advance(w, x, eta: float, mult=None, prev=None) -> np.ndarray:
                 _rescale(w)
                 moved = 0.0
             moved += bits[t]
-            xt = x[..., t, :]
-            h = dots(w, xt)
+            if not shared:  # vector dots w_i @ x_it, on the step's slab of samples
+                xt = x[:, t] if root is None else np.matmul(x[:, t], root, out=slab)
+                w += eta * (w[:, None, :] @ xt[:, :, None])[:, 0] * xt
+                continue
+            xt = x[t]
+            h = w @ xt
             if mult is None or prev is None:
                 w += eta * h[:, None] * xt
             else:

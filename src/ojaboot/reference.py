@@ -66,11 +66,13 @@ class WeightedChiSq:
         return float(2.0 * np.sum(self.weights**2))
 
     def unit(self) -> WeightedChiSq:
-        """The same law with weights scaled so their squares sum to one."""
-        norm = float(np.sqrt(np.sum(self.weights**2)))
+        """The same law with weights scaled so their squares sum to one; the squares are
+        of the weights scaled by a power of two, the largest to [1/2, 1), so none overflows."""
+        w = np.ldexp(self.weights, -np.frexp(self.weights[0])[1])
+        norm = float(np.sqrt(np.sum(w**2)))
         if norm == 0.0:
             raise ValueError("unit scaling needs a nonzero weight")
-        return WeightedChiSq(self.weights / norm)
+        return WeightedChiSq(w / norm)
 
 
 def estimate_M(mdl: model.SpectralModel) -> np.ndarray:

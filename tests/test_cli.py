@@ -117,6 +117,26 @@ class TestExitCodes:
                                  "output_dir": str(tmp_path / "out")}))
         assert cli.main([command, "--config", str(p)]) == 0
 
+    @pytest.mark.parametrize("command", ["reference", "verify"])
+    def test_overflowing_norms_stay_finite(self, tmp_path, command):
+        # vbar's entries reach ~3e298 at this rate: their squares overflow, its
+        # Frobenius norm and the chi-square weights' l2 norm do not
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"eta_rule": {"fixed": 1e300}, "d": 10, "n": 500,
+                                 "mc_chisq": 1000, "output_dir": str(tmp_path / "out")}))
+        assert cli.main([command, "--config", str(p)]) == 0
+        if command == "reference":
+            text = (tmp_path / "out" / "reference_summary.json").read_text()
+            summary = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+            assert 1e298 < summary["frob_vbar"] < 1e300
+
+    def test_nonfinite_summary_value_is_config_error(self, config_path, capsys, monkeypatch):
+        from ojaboot import linalg
+        monkeypatch.setattr(linalg, "frobenius_norm", lambda a: float("inf"))
+        assert cli.main(["reference", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "floating-point range" in err
+
     def test_verify_failure_is_one(self, config_path, monkeypatch):
         from ojaboot import hoeffding
         orig = hoeffding.hoeffding_term

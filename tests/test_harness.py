@@ -151,8 +151,7 @@ class TestSamplingExperiment:
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_trials_above_the_block_cap(self):
-        # 600 = 512 + 88 trials, chunks of 4096 // 512 = 8 and 4096 // 88 = 46 steps;
-        # n = 100 is a multiple of neither
+        # 600 = 4 x 128 + 88 trials: five sampling blocks, the last one short
         cfg = tiny_config(n=100, d=3, trials=600)
         res = harness.run_sampling_experiment(cfg)
         mdl = cfg.spectral_model()
@@ -161,6 +160,31 @@ class TestSamplingExperiment:
                                       cfg.n, cfg.eta_n, u0), mdl.v1)
                      for j in range(600)]
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
+
+    def test_float_budget_changes_no_sample(self, monkeypatch):
+        # 140 trials cross the block cap; budgets of one step, a few odd steps and the
+        # default must move no bit: rescales are powers of two, and each step's product
+        # by Sigma^(1/2) covers the same rows
+        cfg = tiny_config(n=131, d=20, trials=140)
+        default = harness.run_sampling_experiment(cfg)["samples"]
+        for budget in (1, 7 * 128 * 20):
+            monkeypatch.setattr(harness, "_SAMPLING_FLOATS", budget)
+            np.testing.assert_array_equal(harness.run_sampling_experiment(cfg)["samples"],
+                                          default)
+
+    def test_memory_is_one_chunk_buffer(self, monkeypatch):
+        # the traced peak grows with the float budget by one buffer of coordinates, not
+        # by a second buffer of samples; at the default budget it is that buffer plus
+        # about 1.2 MB for the model, the iterates and the streams
+        def peak(budget):
+            monkeypatch.setattr(harness, "_SAMPLING_FLOATS", budget)
+            return traced_peak_bytes(lambda: harness.run_sampling_experiment(cfg))
+
+        cfg = tiny_config(n=300, d=100, trials=300)
+        harness.run_sampling_experiment(tiny_config())  # first use imports numpy.random
+        default = harness._SAMPLING_FLOATS
+        assert peak(default) < 8 * default + 2 * 2**20
+        assert peak(3 * default) - peak(default) < 1.5 * 8 * 2 * default
 
     def test_u0_shared_with_bootstrap(self):
         cfg = tiny_config()

@@ -148,3 +148,15 @@ class TestNorms:
     def test_diag_with_negative(self):
         a = np.diag([3.0, -1.0])
         assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(10.0))
+
+    def test_no_square_overflows(self):
+        # the squares of these entries overflow; the norm itself is finite
+        assert linalg.frobenius_norm([[3e300, -4e300]]) == pytest.approx(5e300, rel=1e-15)
+        assert linalg.frobenius_norm(np.full((3, 3), 5e307)) == pytest.approx(1.5e308, rel=1e-15)
+        assert linalg.frobenius_norm([[np.inf, 1.0]]) == np.inf
+
+    def test_bitwise_equal_to_numpy_where_finite(self):
+        rng = np.random.default_rng(14)
+        for scale in (1e-100, 1e-3, 1.0, 7.5, 1e100):
+            a = scale * rng.standard_normal((9, 9))
+            assert linalg.frobenius_norm(a) == float(np.linalg.norm(a))

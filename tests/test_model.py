@@ -117,8 +117,8 @@ class TestSamplePaths:
     def test_rows_are_sample_x_in_chunks(self):
         m = model.spectral_decompose(model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0))
         streams = [randgen.derive_stream(4, ("path", i)) for i in range(3)]
-        draws, out = np.empty((3, 7, 5)), np.empty((3, 7, 5))
-        chunks = [model.sample_paths(m, streams, draws, out).copy() for _ in range(2)]
+        out = np.empty((3, 7, 5))
+        chunks = [model.sample_paths(m, streams, out) @ m.sqrt_sigma for _ in range(2)]
         for i, row in enumerate(np.concatenate(chunks, axis=1)):
             bulk = model.sample_x(m, randgen.derive_stream(4, ("path", i)), 14)
             np.testing.assert_allclose(row, bulk, rtol=1e-12, atol=1e-13)
@@ -129,23 +129,22 @@ class TestSamplePaths:
         m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
         streams = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
         singles = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
-        draws, out = np.empty((3, 5, 4)), np.empty((3, 5, 4))
+        out = np.empty((3, 5, 4))
         for _ in range(2):
-            model.sample_paths(m, streams, draws, out)
-            for row, stream in zip(draws, singles):
+            assert model.sample_paths(m, streams, out) is out
+            for row, stream in zip(out, singles):
                 np.testing.assert_array_equal(row, stream.uniform_sym((5, 4)))
 
     def test_rejects_unfit_buffers_and_discrete_laws(self):
         m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0))
         streams = [randgen.derive_stream(4, ("bad", i)) for i in range(2)]
-        for draws, out in [(np.empty((2, 4, 3)), np.empty((2, 4, 4))),
-                           (np.empty((3, 4, 3)), np.empty((3, 4, 3))),
-                           (np.empty((2, 4, 3)), np.empty((2, 8, 3))[:, ::2])]:
+        for out in [np.empty((2, 4, 4)), np.empty((3, 4, 3)), np.empty((2, 8, 3))[:, ::2],
+                    np.empty((2, 12))]:
             with pytest.raises(ValueError):
-                model.sample_paths(m, streams, draws, out)
+                model.sample_paths(m, streams, out)
         disc = model.spectral_decompose(rademacher_e1())
         with pytest.raises(ValueError):
-            model.sample_paths(disc, streams, np.empty((2, 4, 2)), np.empty((2, 4, 2)))
+            model.sample_paths(disc, streams, np.empty((2, 4, 2)))
 
 
 class TestDiscreteSpecValidation:

@@ -185,6 +185,24 @@ class TestAdvance:
         np.testing.assert_allclose(oja.unit_rows(w), normalized_loop(block, x, eta, mult),
                                    rtol=1e-12)
 
+    def test_coordinates_step_on_their_product_by_root(self):
+        # eta ||z_t @ root||^2 near 1e7: 60 unnormalized steps would grow a row by more
+        # than 2^1024, so the bound from the root's row sums must rescale inside the call
+        rng = np.random.default_rng(12)
+        m, steps, d, eta = 5, 60, 4, 1.0
+        a = 30.0 * rng.standard_normal((d, d))
+        root = a @ a.T
+        z = rng.standard_normal((m, steps, d))
+        block = oja.start(rng.standard_normal(d), m)
+        w = oja.advance(block, z, eta, root=root)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(oja.unit_rows(w), normalized_loop(block, z @ root, eta),
+                                   rtol=1e-12)
+        with pytest.raises(ValueError):
+            oja.advance(block, z, eta, root=root[:3])
+        with pytest.raises(ValueError, match="root"):
+            oja.advance(block, z[0], eta, root=root)
+
     def test_shrinking_multipliers_stay_finite(self):
         # W = -50 on samples alternating between e1 and e2 scales a row by 0.1 and then
         # 1.918 along each axis: 2.4 bits lost per two steps, 720 bits over the call,
