@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, linalg, model
+from . import harness, linalg, model, stats
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -137,10 +137,12 @@ def _cmd_compare(config, out: Path, threads: int) -> int:
     harness.write_cdf_csv(out / "sampling_cdf.csv", sampling["cdf"])
     harness.write_cdf_csv(out / "sampling_scaled_cdf.csv", sampling["scaled_cdf"])
     harness.write_cdf_csv(out / "bootstrap_cdf.csv", boot["cdf"])
-    cmp_out = harness.compare(boot["cdf"], sampling["cdf"], "compare",
-                              name_a="bootstrap", name_b="sampling", out_dir=out)
+    ks = stats.kolmogorov_distance(boot["cdf"], sampling["cdf"])
+    named = [("bootstrap", boot["cdf"]), ("sampling", sampling["cdf"])]
+    harness.write_pooled_csv(out / "compare_cdf.csv", named)
+    (out / "compare.svg").write_text(harness.render_cdf_svg(named))
     harness.write_summary_json(out / "compare_summary.json", config,
-                               ks=cmp_out["ks"], quantiles=boot["quantiles"])
+                               ks=ks, quantiles=boot["quantiles"])
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Experiment orchestration: sampling runs, bootstrap runs, reference law,
-comparison artifacts, and the self-verification suite.
+"""Experiment orchestration: sampling runs, bootstrap runs, the reference law,
+the self-verification suite, and the CSV/JSON/SVG writers.
 
 Every random consumer owns a substream derived from (master_seed, path), and
 blocks and time chunks have sizes fixed by the config, so any output file is a
@@ -21,18 +21,21 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stats
 
-# The row caps bound temporaries and draw calls at very large counts; as multiples
-# of 4 they keep OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
+# The row caps bound temporaries and draw calls at very large counts. As a multiple of
+# 4, _BLOCK keeps OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
 # depends on where blocks end. A bootstrap chunk draws its data rows once and one
 # multiplier row per replicate. A sampling chunk takes one uniform draw per trial into
 # one buffer of _SAMPLING_FLOATS coordinates (1.25 MiB; 12 steps per draw at d = 100).
+# Its per-step (rows, d) @ (d, d) product rounds a row by where its block starts (at
+# d = 100, blocks of 64 or 100 trials move one by 9e-14), so _SAMPLING_BLOCK is part
+# of what defines the output.
 _BLOCK = 512
 _BOOTSTRAP_STEPS = 256
 _SAMPLING_BLOCK = 128
@@ -108,32 +111,26 @@ class ExperimentConfig:
             return float(np.log(self.n))
         return float(self.eta_value)
 
-    def spectral_model(self) -> model.SpectralModel:
-        return model.spectral_decompose(
-            model.KernelSpec(d=self.d, c=self.c, beta=self.beta, scale=self.scale))
+    def spectral_model(self, d: int | None = None) -> model.SpectralModel:
+        """The kernel model, on d coordinates instead of the config's if given."""
+        return model.spectral_decompose(model.KernelSpec(
+            d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
 
     def stream(self, *path) -> randgen.RngStream:
         return randgen.derive_stream(self.master_seed, path)
 
     def echo(self) -> dict:
-        rule = "log_n" if self.eta_rule == "log_n" else {"fixed": float(self.eta_value)}
-        return {
-            "n": self.n, "d": self.d, "beta": self.beta, "c": self.c,
-            "scale": self.scale, "trials": self.trials,
-            "replicates": self.replicates, "eta_rule": rule,
-            "master_seed": self.master_seed,
-            "mc_m_estimate": self.mc_m_estimate, "mc_chisq": self.mc_chisq,
-            "output_dir": str(self.output_dir),
-        }
+        """The config file's keys; a fixed eta_value is written inside eta_rule."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "eta_value"}
+        if self.eta_rule == "fixed":
+            out["eta_rule"] = {"fixed": float(self.eta_value)}
+        return out
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    known = {"n", "d", "beta", "c", "scale", "trials", "replicates",
-             "eta_rule", "master_seed", "mc_m_estimate", "mc_chisq",
-             "output_dir"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"eta_value"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
@@ -155,8 +152,8 @@ def load_config(path=None, seed=None, out=None) -> ExperimentConfig:
     raw = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
@@ -209,7 +206,6 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
         "scaled_cdf": stats.ecdf(scaled),
         "mean": float(errors.mean()),
         "median": float(np.median(errors)),
-        "model": mdl,
         "u0": u0,
     }
 
@@ -246,7 +242,6 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
         "errors": errors,
         "v_hat": v_hat,
         "quantiles": {f"q{p}": cdf.quantile(p) for p in (0.9, 0.95, 0.99)},
-        "model": mdl,
         "u0": u0,
     }
 
@@ -271,19 +266,6 @@ def run_reference(config: ExperimentConfig) -> dict:
     }
 
 
-def compare(cdf_a: stats.EmpiricalCdf, cdf_b: stats.EmpiricalCdf, label: str,
-            name_a: str = "a", name_b: str = "b", out_dir=None) -> dict:
-    """Kolmogorov distance between two CDFs, with optional plot artifacts."""
-    ks = stats.kolmogorov_distance(cdf_a, cdf_b)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_pooled_csv(out / f"{label}_cdf.csv", [(name_a, cdf_a), (name_b, cdf_b)])
-        (out / f"{label}.svg").write_text(
-            render_cdf_svg([(name_a, cdf_a), (name_b, cdf_b)]))
-    return {"ks": ks}
-
-
 # -- verification suite ------------------------------------------------------
 
 def _check_hoeffding(config: ExperimentConfig, with_multipliers: bool) -> dict:
@@ -291,8 +273,7 @@ def _check_hoeffding(config: ExperimentConfig, with_multipliers: bool) -> dict:
     case = 0
     for n in (4, 6):
         for d in (2, 3):
-            mdl = model.spectral_decompose(
-                model.KernelSpec(d=d, c=config.c, beta=config.beta, scale=config.scale))
+            mdl = config.spectral_model(d)
             for eta in (1.0, float(np.log(n))):
                 st = config.stream("verify", "hoeffding", case)
                 data = model.sample_x(mdl, st, n)
@@ -341,9 +322,7 @@ def _check_anticoncentration(draws) -> dict:
 
 
 def _check_covariance_rate(config: ExperimentConfig) -> dict:
-    d = min(config.d, 10)
-    mdl = model.spectral_decompose(
-        model.KernelSpec(d=d, c=config.c, beta=config.beta, scale=config.scale))
+    mdl = config.spectral_model(min(config.d, 10))
     medians = {}
     for n in (500, 2000):
         eta = float(np.log(n))
@@ -360,8 +339,7 @@ def _check_covariance_rate(config: ExperimentConfig) -> dict:
 
 
 def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
-    mdl = model.spectral_decompose(
-        model.KernelSpec(d=10, c=config.c, beta=config.beta, scale=config.scale))
+    mdl = config.spectral_model(10)
     n, eta = 1000, float(np.log(1000))
     raw = config.stream("verify", "vbar").normal(0.0, 1.0, (9, 9))
     m = raw @ raw.T
@@ -385,7 +363,11 @@ def verify(config: ExperimentConfig) -> dict:
     scale the anti-concentration bound is stated at. The moment check's sigma
     ratios are scale-free. The reference law's own sample is never drawn."""
     vbar = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
-    unit = reference.chisq_weights(vbar).unit()
+    weights = reference.chisq_weights(vbar)
+    if weights.weights[0] == 0.0:  # sorted descending and clamped at zero
+        raise ConfigError("every chi-square weight is zero: the reference law is a point "
+                          "mass at zero, on which the chi-square checks are undefined")
+    unit = weights.unit()
     draws = reference.sample_weighted_chisq(unit, config.stream("verify", "moments"),
                                             config.mc_chisq)
     checks = [

@@ -34,8 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .model import ENUMERATION_CAP, DiscreteSpec, SpectralModel, enumerate_outcomes
-from .reference import contraction_ratios
+from .model import ENUMERATION_CAP, DiscreteSpec, enumerate_outcomes
 
 
 def ordered_product(factors) -> np.ndarray:
@@ -182,25 +181,3 @@ def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:
         gram += p * (flat @ flat.T)
     off = gram - np.diag(np.diag(gram))
     return float(np.max(np.abs(off)))
-
-
-def hajek_term_v1(data, model: SpectralModel, eta_n: float) -> np.ndarray:
-    """First-order term of the decomposition, projected off v1 and normalized.
-
-    Equals V_perp V_perp^T T_1 v1 / (1 + a lambda1)^n exactly, a = eta_n / n.
-    Because sample 1 acts first, the contraction that damps sample i's
-    contribution is the one accumulated over the n - i later steps: the
-    summand for X_i carries the diagonal ratio powers n - i (applying the
-    per-index closed form to the i-1 earlier factors instead would describe
-    the reversed product, which only matches in distribution).
-    """
-    model.require_gap()
-    data = _as_rows(data)
-    n = data.shape[0]
-    a = eta_n / n
-    ratios = contraction_ratios(model, eta_n, n)  # length d-1
-    coef = data @ model.v1  # (x_i . v1)
-    proj = data @ model.v_perp  # rows V_perp^T x_i
-    powers = ratios[None, :] ** (n - 1 - np.arange(n))[:, None]  # row i: ratios^(n-i), 1-based
-    acc = (powers * proj * coef[:, None]).sum(axis=0)
-    return model.v_perp @ (a / (1.0 + a * model.lambda1) * acc)

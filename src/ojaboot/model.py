@@ -126,9 +126,7 @@ class SpectralModel:
 def covariance_of(spec: CovarianceSpec) -> np.ndarray:
     if isinstance(spec, KernelSpec):
         return build_kernel_covariance(spec.d, spec.c, spec.beta, spec.scale)
-    if isinstance(spec, ExplicitSpec):
-        return spec.sigma
-    if isinstance(spec, DiscreteSpec):
+    if isinstance(spec, (ExplicitSpec, DiscreteSpec)):
         return spec.sigma
     raise TypeError(f"not a covariance spec: {type(spec).__name__}")
 

@@ -14,10 +14,10 @@ Where a rescale falls therefore changes no bit of the direction, and
 `unit_rows` divides by the norm once, at the end of a pass. The default rate
 rule is eta_n = log n, overridable everywhere.
 
-`advance` moves a block of iterates through a chunk of samples, shared (with the
-`bootstrap` multiplier update when given multipliers) or per row, where sampling
-passes coordinates and Sigma^{1/2} for it to multiply a step at a time. `run` is
-the library's one-row call over a whole dataset, not the runners' path.
+`advance` moves a block of iterates through a chunk of samples: shared (with the
+`bootstrap` multiplier update when given multipliers), or per row as coordinates
+z with the root Sigma^{1/2} that it multiplies a step at a time. `run` is the
+library's one-row call over a whole dataset, not the runners' path.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def _rescale(w) -> None:
 
 def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     """The (m, d) block w (left unmodified) after one time chunk of samples x: (T, d)
-    shared by all rows, or (m, T, d) per row, where given a (d, d) root x holds
-    coordinates z and row i steps on z[i, t] @ root, formed a step at a time. mult is
-    the rows' (m, T) multipliers or None for plain Oja, and needs shared samples; prev
+    shared by all rows, or (m, T, d) coordinates z per row with a (d, d) root: row i
+    steps on z[i, t] @ root, formed a step at a time. mult is the rows' (m, T)
+    multipliers or None for plain Oja, and needs shared samples; prev
     is the sample before the chunk, or None at the start of the pass, whose first step
     is plain Oja. Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
     w = np.array(w, dtype=float)
@@ -82,7 +82,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     prev = None if prev is None else np.asarray(prev, dtype=float)
     if mult is not None and mult.shape != (m, steps):
         raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
-    if mult is not None and not shared or root is not None and shared:
+    if mult is not None and not shared or shared != (root is None):
         raise ValueError("multipliers need samples shared by all rows, a root per-row ones")
 
     # Step t applies I + E_t with ||E_t|| <= e_t: it moves a row's norm by at most
@@ -91,7 +91,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     # ((1 + W) x x^T - W p p^T); ||z_t @ root|| <= ||z_t|| max_i sum_j |root_ij|.
     xx = (x[..., None, :] @ x[..., None])[..., 0, 0]  # squared norms, no buffer of x's size
     if not shared:
-        xx = xx.max(axis=0) * (1.0 if root is None else np.abs(root).sum(axis=1).max() ** 2)
+        xx = xx.max(axis=0) * np.abs(root).sum(axis=1).max() ** 2
     e = abs(eta) * xx
     if mult is not None and steps:
         wmax = np.maximum(mult.max(axis=0), -mult.min(axis=0))  # no (m, T) temporary
@@ -117,7 +117,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
                 moved = 0.0
             moved += bits[t]
             if not shared:  # vector dots w_i @ x_it, on the step's slab of samples
-                xt = x[:, t] if root is None else np.matmul(x[:, t], root, out=slab)
+                xt = np.matmul(x[:, t], root, out=slab)
                 w += eta * (w[:, None, :] @ xt[:, :, None])[:, 0] * xt
                 continue
             xt = x[t]

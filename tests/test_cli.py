@@ -37,6 +37,12 @@ class TestExitCodes:
         p.write_text("{oops")
         assert cli.main(["sampling", "--config", str(p)]) == 2
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["sampling", "--config", str(p)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_unknown_key_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"n": 100, "wrong_key": 1}))
@@ -116,6 +122,18 @@ class TestExitCodes:
         p.write_text(json.dumps({"scale": 1000, "d": 20, "n": 500, "mc_chisq": 1000,
                                  "output_dir": str(tmp_path / "out")}))
         assert cli.main([command, "--config", str(p)]) == 0
+
+    @pytest.mark.parametrize("raw", [{"c": 0, "d": 2}, {"beta": 1e6, "d": 4}],
+                             ids=["rank-one-kernel", "underflowing-scales"])
+    def test_rank_one_covariance_verify_is_config_error(self, tmp_path, capsys, raw):
+        # one nonzero eigenvalue: the moment matrix and every chi-square weight are zero
+        p = tmp_path / "rank1.json"
+        p.write_text(json.dumps({**raw, "n": 200, "mc_chisq": 500,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert cli.main(["reference", "--config", str(p)]) == 0
+        assert cli.main(["verify", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "point mass at zero" in err
 
     @pytest.mark.parametrize("command", ["reference", "verify"])
     def test_overflowing_norms_stay_finite(self, tmp_path, command):

@@ -310,31 +310,32 @@ class TestReferenceRun:
 
 
 class TestCompare:
+    """The pieces `ojaboot compare` writes: the KS distance, the pooled CSV, the SVG."""
+
     def test_identical_cdfs(self, tmp_path):
         cdf = stats.ecdf([0.1, 0.2, 0.3])
-        out = harness.compare(cdf, cdf, "same", out_dir=tmp_path)
-        assert out["ks"] == 0.0
+        assert stats.kolmogorov_distance(cdf, cdf) == 0.0
+        harness.write_pooled_csv(tmp_path / "same_cdf.csv", [("a", cdf), ("b", cdf)])
+        (tmp_path / "same.svg").write_text(harness.render_cdf_svg([("a", cdf), ("b", cdf)]))
         assert (tmp_path / "same_cdf.csv").exists()
         assert (tmp_path / "same.svg").exists()
 
     def test_artifact_contents(self, tmp_path):
-        a = stats.ecdf([0.0, 1.0])
-        b = stats.ecdf([0.5])
-        harness.compare(a, b, "pair", name_a="left", name_b="right", out_dir=tmp_path)
+        named = [("left", stats.ecdf([0.0, 1.0])), ("right", stats.ecdf([0.5]))]
+        harness.write_pooled_csv(tmp_path / "pair_cdf.csv", named)
         lines = (tmp_path / "pair_cdf.csv").read_text().splitlines()
         assert lines[0] == "curve,t,F"
         assert lines[1] == "left,0.0,0.5"
         assert lines[3] == "right,0.5,1.0"
-        root = ET.fromstring((tmp_path / "pair.svg").read_text())
+        root = ET.fromstring(harness.render_cdf_svg(named))
         tags = [e.tag.split("}")[-1] for e in root.iter()]
         assert tags.count("polyline") == 2
         assert tags.count("line") >= 2
 
     def test_ks_range(self):
         rng = np.random.default_rng(3)
-        out = harness.compare(stats.ecdf(rng.random(50)), stats.ecdf(rng.random(70)),
-                              "x", out_dir=None)
-        assert 0.0 <= out["ks"] <= 1.0
+        ks = stats.kolmogorov_distance(stats.ecdf(rng.random(50)), stats.ecdf(rng.random(70)))
+        assert 0.0 <= ks <= 1.0
 
 
 class TestVerify:

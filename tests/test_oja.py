@@ -149,7 +149,7 @@ class TestAdvance:
         rng = np.random.default_rng(9)
         data = rng.standard_normal((6, 50, 4))
         u0 = rng.standard_normal(4)
-        w = oja.unit_rows(oja.advance(oja.start(u0, 6), data, 2.0 / 50))
+        w = oja.unit_rows(oja.advance(oja.start(u0, 6), data, 2.0 / 50, root=np.eye(4)))
         for row, x in zip(w, data):
             np.testing.assert_array_equal(row, oja.run(x, n=50, eta_n=2.0, u0=u0))
 
@@ -180,7 +180,7 @@ class TestAdvance:
         x *= np.sqrt(gain / (eta * np.einsum("...d,...d->...", x, x)))[..., None]
         mult = rng.normal(0.0, 0.7, (m, steps)) if case == "multipliers" else None
         block = oja.start(rng.standard_normal(d), m)
-        w = oja.advance(block, x, eta, mult)
+        w = oja.advance(block, x, eta, mult, root=np.eye(d) if case == "per_row" else None)
         assert np.all(np.isfinite(w))
         np.testing.assert_allclose(oja.unit_rows(w), normalized_loop(block, x, eta, mult),
                                    rtol=1e-12)
@@ -228,6 +228,8 @@ class TestAdvance:
             oja.advance(block, np.ones((4, 2)), 0.1, mult=np.zeros((3, 5)))
         with pytest.raises(ValueError, match="shared"):
             oja.advance(block, np.ones((3, 4, 2)), 0.1, mult=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="root"):
+            oja.advance(block, np.ones((3, 4, 2)), 0.1)
 
     def test_unit_rows_rejects_rows_that_left_the_finite_range(self):
         np.testing.assert_array_equal(oja.unit_rows([[0.0, 0.5], [3.0, 4.0]]),
