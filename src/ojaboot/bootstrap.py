@@ -9,7 +9,7 @@ with W ~ N(0, 1/2) drawn per (replicate, step) from that replicate's own
 stream, so the values do not depend on how replicates are grouped. The very
 first step has no previous sample; every replicate takes the plain Oja step
 there and the multiplier starts at t = 2. The update itself is the kernel
-`oja.advance`; this module draws its multipliers chunk by chunk.
+`oja.advance`; this module draws its multipliers chunk by chunk (zero rows step plain).
 
 The update is linear in v: it applies I + eta (x x^T + W (x x^T - p p^T)), so
 a replicate's path is the ordered product of those factors applied to u0 (the
@@ -32,15 +32,15 @@ from .reference import contraction_ratios
 W_VARIANCE = 0.5
 
 
-def draw_multipliers(streams, start: int, stop: int) -> np.ndarray:
-    """The (m, stop - start) multipliers of 0-based steps start..stop-1, a row per
-    replicate stream. Step 0 draws none (its column is zero), so any chunking
-    yields the values of one scalar draw per step from t = 2 on. Each stream draws
-    straight into its row of the result."""
+def draw_multipliers(streams, start: int, stop: int, rows: int | None = None) -> np.ndarray:
+    """The (rows, stop - start) multipliers of 0-based steps start..stop-1: a row per
+    stream, then zero rows. Step 0 draws none (its column is zero), so any chunking
+    yields the values of one scalar draw per step from t = 2 on."""
     first = 1 if start == 0 else 0
-    mult = np.zeros((len(streams), stop - start))
+    mult = np.zeros((len(streams) if rows is None else rows, stop - start))
     for row, stream in zip(mult, streams):
-        stream.normal(0.0, W_VARIANCE, out=row[first:])
+        stream.standard_normal(out=row[first:])
+    mult *= np.sqrt(W_VARIANCE)
     return mult
 
 

@@ -8,12 +8,11 @@ floats are serialized through repr, which keeps reruns byte-identical. The
 runners share no state, so the CLI may run two of them in separate processes
 (compare's sampling and bootstrap, under --threads >= 2) without a byte changing.
 
-Each runner is one loop over `oja.advance` on blocks of rows, whose rows are
-right only up to a power-of-two scale until `oja.unit_rows` divides them by their
-norms, once, at the end of the pass. Sampling moves blocks of up to 128 trials
-through time chunks whose coordinates fill one buffer. The bootstrap loops over
-time: each 256-step chunk of its one dataset is drawn once and moves v_hat and
-then every replicate block, so its memory is O((chunk + replicates) d), not O(n d).
+Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_rows`
+normalizes once, at the end. Sampling moves blocks of up to 128 trials through
+chunks whose coordinates fill one buffer. Each 256-step chunk of the bootstrap's one
+dataset moves the replicates and v_hat (zero multipliers), so its memory is
+O((chunk + replicates) d), not O(n d).
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ import numpy as np
 
 from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stats
 
-# The row caps bound temporaries and draw calls at very large counts. As a multiple of
-# 4, _BLOCK keeps OpenBLAS's 4-row matrix-vector grouping, so no replicate's rounding
-# depends on where blocks end. A bootstrap chunk draws its data rows once and one
-# multiplier row per replicate. A sampling chunk takes one uniform draw per trial into
-# one buffer of _SAMPLING_FLOATS coordinates (1.25 MiB; 12 steps per draw at d = 100).
+# The row caps bound temporaries and draw calls at very large counts. Bootstrap blocks
+# that start at multiples of 4 keep each row's rounding in the (2, d) @ (d, m) products
+# (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). A bootstrap
+# chunk draws its data rows once and one multiplier row per block row. A sampling chunk
+# takes one uniform draw per trial into one buffer of _SAMPLING_FLOATS coordinates
+# (1.25 MiB; 12 steps per draw at d = 100).
 # Its per-step (rows, d) @ (d, d) product rounds a row by where its block starts (at
 # d = 100, blocks of 64 or 100 trials move one by 9e-14), so _SAMPLING_BLOCK is part
 # of what defines the output.
@@ -113,8 +113,14 @@ class ExperimentConfig:
 
     def spectral_model(self, d: int | None = None) -> model.SpectralModel:
         """The kernel model, on d coordinates instead of the config's if given."""
-        return model.spectral_decompose(model.KernelSpec(
-            d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
+        try:
+            return model.spectral_decompose(model.KernelSpec(
+                d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
+        except ValueError as exc:  # the inputs are valid: the covariance overflowed
+            raise self.out_of_range("the covariance") from exc
+
+    def out_of_range(self, what: str) -> ConfigError:
+        return ConfigError(f"{what} overflows at scale = {self.scale!r}, beta = {self.beta!r}")
 
     def stream(self, *path) -> randgen.RngStream:
         return randgen.derive_stream(self.master_seed, path)
@@ -174,7 +180,8 @@ def _unit_rows(w, config: ExperimentConfig) -> np.ndarray:
     try:
         return oja.unit_rows(w)
     except ValueError as exc:
-        raise ConfigError(f"{exc} (eta_n = {config.eta_n!r} is too large)") from exc
+        raise ConfigError(f"{exc} (eta_n = {config.eta_n!r} or scale = {config.scale!r} "
+                          "is too large)") from exc
 
 
 def run_sampling_experiment(config: ExperimentConfig) -> dict:
@@ -205,45 +212,48 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
         "scaled_samples": scaled,
         "scaled_cdf": stats.ecdf(scaled),
         "mean": float(errors.mean()),
-        "median": float(np.median(errors)),
+        "median": stats.median(errors),
         "u0": u0,
     }
 
 
 def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
-    """One dataset, m multiplier-perturbed replicate chains, errors vs the
-    unperturbed estimate. The dataset streams from ("data", 0) one chunk at a
-    time; each chunk moves v_hat and then every replicate block, and is never
-    read again. Replicate i draws its multipliers from its own ("w", i) stream.
-    v_hat and the replicates are rescaled only by powers of two during the pass
-    and normalized once, at the end."""
+    """One dataset streamed from ("data", 0), m multiplier-perturbed replicate chains
+    drawing from their own ("w", i) streams, and their errors vs the unperturbed
+    estimate v_hat, the row after the replicates."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
     data = config.stream("data", 0)
-    v_hat = oja.start(u0, 1)
-    streams = [[config.stream("w", i)
-                for i in range(first, min(first + _BLOCK, config.replicates))]
-               for first in range(0, config.replicates, _BLOCK)]
-    blocks = [oja.start(u0, len(block)) for block in streams]
+    streams = [config.stream("w", i) for i in range(config.replicates)]
+    rows = config.replicates + 1  # v_hat is the last row, with zero multipliers
+    blocks = [oja.start(u0, min(_BLOCK, rows - first)) for first in range(0, rows, _BLOCK)]
     prev = None
     for lo in range(0, config.n, _BOOTSTRAP_STEPS):
         hi = min(lo + _BOOTSTRAP_STEPS, config.n)
         x = model.sample_x(mdl, data, hi - lo)
-        v_hat = oja.advance(v_hat, x, eta)
-        blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(block, lo, hi), prev)
-                  for w, block in zip(blocks, streams)]
+        blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(
+                      streams[k * _BLOCK:][:len(w)], lo, hi, len(w)), prev)
+                  for k, w in enumerate(blocks)]
         prev = x[-1]
-    v_hat = _unit_rows(v_hat, config)[0]
-    errors = np.clip(1.0 - (_unit_rows(np.vstack(blocks), config) @ v_hat) ** 2, 0.0, 1.0)
+    unit = _unit_rows(np.vstack(blocks), config)
+    errors = np.clip(1.0 - (unit[:-1] @ unit[-1]) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
     return {
         "cdf": cdf,
         "errors": errors,
-        "v_hat": v_hat,
+        "v_hat": unit[-1],
         "quantiles": {f"q{p}": cdf.quantile(p) for p in (0.9, 0.95, 0.99)},
         "u0": u0,
     }
+
+
+def _build_reference(config: ExperimentConfig, mdl, eta_n: float, n: int) -> np.ndarray:
+    mdl.require_gap()  # a degenerate gap is its own error
+    try:
+        return reference.build_reference(mdl, eta_n, n)
+    except ValueError as exc:  # the inputs are valid: the moments overflowed
+        raise config.out_of_range("the reference covariance") from exc
 
 
 def run_reference(config: ExperimentConfig) -> dict:
@@ -252,7 +262,7 @@ def run_reference(config: ExperimentConfig) -> dict:
     The draws are on the scale of (n/eta_n) * sin2, the units the limit law
     is stated in.
     """
-    vbar = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
+    vbar = _build_reference(config, config.spectral_model(), config.eta_n, config.n)
     weights = reference.chisq_weights(vbar)
     samples = reference.sample_weighted_chisq(weights, config.stream("mc", "chisq"),
                                               config.mc_chisq)
@@ -281,13 +291,16 @@ def _check_hoeffding(config: ExperimentConfig, with_multipliers: bool) -> dict:
                     w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
                     total, _ = hoeffding.hoeffding_sum(data, eta, weights=w)
                     direct = hoeffding.direct_product(data, eta, weights=w)
+                    err = (linalg.frobenius_norm(total - direct)
+                           / max(1.0, linalg.frobenius_norm(direct)))
                 else:
-                    # The subset terms can cancel by a factor of ~4e6 here, enough for
-                    # float64 roundoff alone to cross the bound; evaluate exactly.
+                    # The subset terms can cancel by a factor of ~4e6 here, enough for float64
+                    # roundoff alone to cross the bound; evaluate exactly, the ratio too.
                     total, _ = hoeffding.hoeffding_sum(data, eta, sigma=mdl.sigma, exact=True)
                     direct = hoeffding.direct_product(data, eta, exact=True)
-                err = (linalg.frobenius_norm(total - direct)
-                       / max(1.0, linalg.frobenius_norm(direct)))
+                    err = math.sqrt(np.sum((total - direct) ** 2) / max(1, np.sum(direct ** 2)))
+                if not math.isfinite(err):
+                    raise config.out_of_range("the Hoeffding oracle's product")
                 worst = max(worst, err)
                 case += 1
     name = "bootstrap_hoeffding_exactness" if with_multipliers else "hoeffding_exactness"
@@ -332,7 +345,7 @@ def _check_covariance_rate(config: ExperimentConfig) -> dict:
             data = model.sample_x(mdl, config.stream("verify", "rate", n, j), n)
             cov = bootstrap.bootstrap_covariance(data, mdl, eta)
             diffs.append(abs(float(np.trace(cov - vbar))))
-        medians[n] = float(np.median(diffs))
+        medians[n] = stats.median(diffs)
     ratio = medians[500] / max(medians[2000], 1e-300)
     return {"name": "covariance_rate", "value": ratio, "bound": [1.3, 5.0],
             "passed": bool(1.3 <= ratio <= 5.0)}
@@ -362,7 +375,7 @@ def verify(config: ExperimentConfig) -> dict:
     "moments"): the law of `run_reference`'s weights scaled to unit weights, the
     scale the anti-concentration bound is stated at. The moment check's sigma
     ratios are scale-free. The reference law's own sample is never drawn."""
-    vbar = reference.build_reference(config.spectral_model(), config.eta_n, config.n)
+    vbar = _build_reference(config, config.spectral_model(), config.eta_n, config.n)
     weights = reference.chisq_weights(vbar)
     if weights.weights[0] == 0.0:  # sorted descending and clamped at zero
         raise ConfigError("every chi-square weight is zero: the reference law is a point "
@@ -422,8 +435,8 @@ def _svg_steps(cdf: stats.EmpiricalCdf):
     """Jump points (t_i, F_i) thinned to a bounded count for plotting."""
     t = cdf.sorted_samples
     f = np.arange(1, cdf.count + 1) / cdf.count
-    if t.size > _SVG_MAX_JUMPS:
-        idx = np.unique(np.linspace(0, t.size - 1, _SVG_MAX_JUMPS).astype(int))
+    if t.size > _SVG_MAX_JUMPS:  # then the indices are strictly increasing
+        idx = np.linspace(0, t.size - 1, _SVG_MAX_JUMPS).astype(int)
         t, f = t[idx], f[idx]
     return t, f
 

@@ -5,19 +5,17 @@ One pass over n samples with learning rate eta = eta_n / n applies
     w <- (I + eta x x^T) w
 
 sample by sample, and the estimate is the direction of the result. The update is
-linear in w, so a division by the norm between steps would only rescale and
-never change the direction. `advance`, the one streaming kernel, divides by no
-norm: it rescales rows by exact powers of two, which changes no mantissa, at the
-end of every call and before any step where a growth bound says a row could
+linear in w, so `advance`, the one streaming kernel, divides by no norm: it rescales
+rows by exact powers of two, which change no mantissa and so no bit of the direction,
+at the end of every call and before any step where a growth bound says a row could
 leave [2^-256, 2^256] (the raw product grows like (1 + eta_n lambda1 / n)^n).
-Where a rescale falls therefore changes no bit of the direction, and
-`unit_rows` divides by the norm once, at the end of a pass. The default rate
-rule is eta_n = log n, overridable everywhere.
+`unit_rows` divides by the norm once, at the end of a pass. The default rate rule is
+eta_n = log n, overridable everywhere.
 
-`advance` moves a block of iterates through a chunk of samples: shared (with the
-`bootstrap` multiplier update when given multipliers), or per row as coordinates
-z with the root Sigma^{1/2} that it multiplies a step at a time. `run` is the
-library's one-row call over a whole dataset, not the runners' path.
+`advance` moves a block of iterates through a chunk of shared samples, or of per-row
+coordinates z, each step's z_t Sigma^{1/2} formed just in time. A `bootstrap` multiplier
+step is two products: [p; x_t] @ w^T gives both dots and, scaled in place by the rows'
+(-eta W, eta (1 + W)), its transpose adds both outer products; W = 0 steps plain.
 """
 
 from __future__ import annotations
@@ -68,9 +66,9 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     """The (m, d) block w (left unmodified) after one time chunk of samples x: (T, d)
     shared by all rows, or (m, T, d) coordinates z per row with a (d, d) root: row i
     steps on z[i, t] @ root, formed a step at a time. mult is the rows' (m, T)
-    multipliers or None for plain Oja, and needs shared samples; prev
-    is the sample before the chunk, or None at the start of the pass, whose first step
-    is plain Oja. Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
+    multipliers or None for plain Oja, and needs shared samples; prev is the sample
+    before the chunk, or None at the start of the pass, whose first step is plain Oja.
+    Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
     w = np.array(w, dtype=float)
     x = np.asarray(x, dtype=float)
     shared = x.ndim == 2
@@ -107,7 +105,8 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     bits = bits.tolist()
 
     slab = None if shared else np.empty_like(w)
-    coef = np.empty((m, 2))
+    # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W)), first a plain step's
+    coef, sign = np.repeat([[0.0], [eta]], m, axis=1), np.array([[-eta], [eta]])
     moved = np.inf  # the input's norms are unknown: rescale before the first step
     # a step too large for any rescale leaves inf or nan, which unit_rows reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,18 +118,16 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
             if not shared:  # vector dots w_i @ x_it, on the step's slab of samples
                 xt = np.matmul(x[:, t], root, out=slab)
                 w += eta * (w[:, None, :] @ xt[:, :, None])[:, 0] * xt
-                continue
-            xt = x[t]
-            h = w @ xt
-            if mult is None or prev is None:
-                w += eta * h[:, None] * xt
+            elif mult is None:
+                w += eta * (w @ x[t])[:, None] * x[t]
             else:
-                # both outer products as one (m, 2) @ (2, d) product over [prev; x_t]
-                wt = mult[:, t]
-                coef[:, 0] = -(eta * (wt * (w @ prev)))
-                coef[:, 1] = eta * ((1.0 + wt) * h)
-                w += coef @ (x[t - 1:t + 1] if t else np.stack((prev, xt)))
-            prev = xt
+                pair = x[t - 1:t + 1] if t else np.stack((x[0] if prev is None else prev, x[0]))
+                if t or prev is not None:
+                    np.multiply(sign, mult[:, t], out=coef)
+                    coef[1] += eta
+                dots = pair @ w.T
+                dots *= coef
+                w += dots.T @ pair
         _rescale(w)
     return w
 

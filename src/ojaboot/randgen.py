@@ -82,6 +82,10 @@ class RngStream:
         z += mean
         return z
 
+    def standard_normal(self, out):
+        """N(0, 1) draws into `out`: what normal(0, v, out=out) scales by sqrt(v)."""
+        return self._gen.standard_normal(out=out)
+
     def uniform_sym(self, size=None, out=None):
         """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1; into `out` when given."""
         return to_symmetric(self._gen.random(size, out=out))

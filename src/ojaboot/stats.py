@@ -44,9 +44,15 @@ def ecdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
 
 
+def median(samples) -> float:
+    """The middle sample, or the mean of the middle two: numpy.median's value."""
+    s, k = np.sort(samples), len(samples) // 2
+    return float(s[k] if len(samples) % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def kolmogorov_distance(f: EmpiricalCdf, g: EmpiricalCdf) -> float:
     """sup_t |F(t) - G(t)| over the pooled jump points, both one-sided limits."""
-    points = np.union1d(f.sorted_samples, g.sorted_samples)
+    points = np.concatenate((f.sorted_samples, g.sorted_samples))
     d_right = np.max(np.abs(f(points) - g(points)))
     d_left = np.max(np.abs(f.left_limit(points) - g.left_limit(points)))
     return float(max(d_right, d_left))

@@ -145,6 +145,12 @@ class TestEnsembleStep:
             scalar = [0.0] + [s.normal(0.0, 0.5) for _ in range(11)]
             np.testing.assert_array_equal(row, scalar)
 
+    def test_rows_after_the_streams_are_zero(self):
+        streams = lambda: [randgen.derive_stream(6, ("w", i)) for i in range(2)]
+        mult = bootstrap.draw_multipliers(streams(), 256, 300, rows=4)
+        assert mult.shape == (4, 44) and not mult[2:].any()
+        np.testing.assert_array_equal(mult[:2], bootstrap.draw_multipliers(streams(), 256, 300))
+
     def test_draws_equal_per_stream_draws_bitwise(self):
         # each row is drawn in place; the values are those of one draw of
         # stop - start values (one fewer at step 0) from the replicate's stream

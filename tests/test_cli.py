@@ -123,6 +123,20 @@ class TestExitCodes:
                                  "output_dir": str(tmp_path / "out")}))
         assert cli.main([command, "--config", str(p)]) == 0
 
+    @pytest.mark.parametrize("scale, command", [
+        (1e30, "verify"), (1e80, "reference"), (1e80, "verify"), (1e80, "sampling"),
+        (1e80, "bootstrap"), (1e80, "compare"),
+        *[(1.2e154, c) for c in ("sampling", "bootstrap", "reference", "compare", "verify")]])
+    def test_scale_out_of_the_float_range_is_config_error(self, tmp_path, capsys, scale,
+                                                          command):
+        p = tmp_path / "scale.json"
+        p.write_text(json.dumps({"scale": scale, "d": 10, "n": 500, "trials": 4,
+                                 "replicates": 4, "mc_chisq": 1000,
+                                 "output_dir": str(tmp_path / "out")}))
+        assert cli.main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"scale = {scale!r}" in err
+
     @pytest.mark.parametrize("raw", [{"c": 0, "d": 2}, {"beta": 1e6, "d": 4}],
                              ids=["rank-one-kernel", "underflowing-scales"])
     def test_rank_one_covariance_verify_is_config_error(self, tmp_path, capsys, raw):
@@ -315,14 +329,26 @@ class TestDeterminism:
         assert read_all(out) == first
 
 
-def run_module(args, cwd, **env_overrides):
+def run_module(args, cwd, code=None, **env_overrides):
     # The child runs in cwd, so a relative PYTHONPATH entry would resolve there;
     # put the directory that holds the package first, as an absolute path.
     pkg_root = str(Path(ojaboot.__file__).resolve().parent.parent)
     env = {**os.environ, **env_overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ojaboot.cli", *args],
+    entry = ["-m", "ojaboot.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_no_numpy_ma_import(config_path, tmp_path):
+    # numpy.median, union1d and unique import numpy.ma, a megabyte of memory
+    code = ("import sys; from ojaboot import cli; "
+            f"cli.main(['compare', '--config', {str(config_path)!r}, '--threads', '2']); "
+            f"cli.main(['verify', '--config', {str(config_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    proc = run_module([], tmp_path, code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_point(config_path, tmp_path):

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ojaboot import harness, hoeffding, model, oja, randgen, reference, stats
+from ojaboot import bootstrap, harness, hoeffding, model, oja, randgen, reference, stats
 
 
 def scalar_draw_replicates(data, u0, eta, streams):
@@ -36,6 +36,21 @@ def whole_ensemble_errors(data, u0, eta, streams, v_hat):
                      for s in streams])
     reps = oja.unit_rows(oja.advance(oja.start(u0, len(streams)), data, eta, mult))
     return np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
+
+
+def one_call_rows(cfg):
+    """(data, unit rows) of one unchunked oja.advance call over the harness's rows:
+    every replicate, then v_hat with zero multipliers."""
+    mdl = cfg.spectral_model()
+    stream = cfg.stream("data", 0)
+    step = harness._BOOTSTRAP_STEPS
+    data = np.vstack([model.sample_x(mdl, stream, min(step, cfg.n - lo))
+                      for lo in range(0, cfg.n, step)])
+    rows = cfg.replicates + 1
+    mult = bootstrap.draw_multipliers([cfg.stream("w", i) for i in range(cfg.replicates)],
+                                      0, cfg.n, rows)
+    block = oja.start(harness.draw_u0(cfg), rows)
+    return data, oja.unit_rows(oja.advance(block, data, cfg.eta_n / cfg.n, mult))
 
 
 def traced_peak_bytes(fn):
@@ -279,6 +294,26 @@ class TestBootstrapExperiment:
         v_hat = oja.run(data, cfg.n, cfg.eta_n, harness.draw_u0(cfg))
         np.testing.assert_array_equal(res["v_hat"], v_hat)
 
+    def test_v_hat_is_the_zero_multiplier_row(self):
+        # d = 20: the row's dot products come from a matrix product, not from run's
+        # matrix-vector product, so run is matched to rounding only
+        cfg = tiny_config(n=600, d=20, replicates=3)
+        res = harness.run_bootstrap_experiment(cfg)
+        data, rows = one_call_rows(cfg)
+        np.testing.assert_array_equal(res["v_hat"], rows[-1])
+        np.testing.assert_allclose(res["v_hat"], oja.run(data, cfg.n, cfg.eta_n,
+                                                         harness.draw_u0(cfg)), rtol=1e-12)
+
+    def test_blocks_split_at_the_cap_move_no_bit(self):
+        # d = 100, 520 replicates and v_hat: blocks of 512 and 9 rows against one
+        # call over all 521 rows, through a chunk end
+        cfg = tiny_config(n=300, d=100, replicates=520)
+        res = harness.run_bootstrap_experiment(cfg)
+        _, rows = one_call_rows(cfg)
+        np.testing.assert_array_equal(res["v_hat"], rows[-1])
+        np.testing.assert_array_equal(res["errors"],
+                                      np.clip(1.0 - (rows[:-1] @ rows[-1]) ** 2, 0.0, 1.0))
+
     def test_memory_does_not_grow_with_n(self):
         # the (8000, 100) dataset alone would hold 6.1 MiB
         cfg = tiny_config(n=8000, d=100, replicates=4)
@@ -416,6 +451,15 @@ class TestVerify:
                                          with_multipliers=False)
         assert check["bound"] == 1e-10
         assert check["passed"], check["value"]
+
+    def test_hoeffding_exactness_forms_its_ratio_in_range(self):
+        # at scale 1e30 the exact products pass 1e308; the float oracle's overflow
+        # is a config error that names the scale
+        cfg = harness.ExperimentConfig(scale=1e30)
+        check = harness._check_hoeffding(cfg, with_multipliers=False)
+        assert check["value"] == 0.0 and check["passed"]
+        with pytest.raises(harness.ConfigError, match="scale = 1e"):
+            harness._check_hoeffding(cfg, with_multipliers=True)
 
 
 class TestWriters:

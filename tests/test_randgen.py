@@ -69,6 +69,13 @@ class TestNormal:
         assert buf[3:].tobytes() == fresh.tobytes()
         assert np.isnan(buf[:3]).all()
 
+    def test_standard_normal_scaled_once_equals_normal_bitwise(self):
+        fresh = randgen.derive_stream(8, ("w", 2)).normal(0.0, 0.5, 257)
+        buf = np.empty(257)
+        assert randgen.derive_stream(8, ("w", 2)).standard_normal(out=buf) is buf
+        buf *= np.sqrt(0.5)
+        assert buf.tobytes() == fresh.tobytes()
+
 
 class TestUniformSym:
     def test_support(self):

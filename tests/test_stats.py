@@ -82,6 +82,13 @@ class TestQuantile:
             f.quantile(1.1)
 
 
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 21, 300])
+    def test_equals_numpy_median_bitwise(self, size):
+        x = np.random.default_rng(size).standard_normal(size)
+        assert stats.median(x) == float(np.median(x))
+
+
 class TestKolmogorovDistance:
     def test_identical_is_zero(self):
         f = stats.ecdf([1.0, 2.0, 2.0, 5.0])
@@ -105,6 +112,9 @@ class TestKolmogorovDistance:
             f, g = stats.ecdf(xs), stats.ecdf(ys)
             d = stats.kolmogorov_distance(f, g)
             assert d == pytest.approx(ks_bruteforce(xs, ys), abs=1e-12)
+            points = np.union1d(xs, ys)  # distinct pooled jumps give the same value
+            assert d == max(np.abs(f(points) - g(points)).max(),
+                            np.abs(f.left_limit(points) - g.left_limit(points)).max())
             assert d == stats.kolmogorov_distance(g, f)
             assert 0.0 <= d <= 1.0
 
