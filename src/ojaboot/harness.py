@@ -42,6 +42,7 @@ _SAMPLING_BLOCK = 128
 _SAMPLING_FLOATS = 160 * 1024
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
+_SVG_WIDTH, _SVG_HEIGHT = 800, 600
 
 _SUMMARY_KEYS = ("config_echo", "ks", "trace_vbar", "frob_vbar",
                  "weights_top10", "quantiles", "checks")
@@ -114,8 +115,9 @@ class ExperimentConfig:
     def spectral_model(self, d: int | None = None) -> model.SpectralModel:
         """The kernel model, on d coordinates instead of the config's if given."""
         try:
-            return model.spectral_decompose(model.KernelSpec(
-                d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return model.spectral_decompose(model.KernelSpec(
+                    d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
         except ValueError as exc:  # the inputs are valid: the covariance overflowed
             raise self.out_of_range("the covariance") from exc
 
@@ -251,7 +253,8 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
 def _build_reference(config: ExperimentConfig, mdl, eta_n: float, n: int) -> np.ndarray:
     mdl.require_gap()  # a degenerate gap is its own error
     try:
-        return reference.build_reference(mdl, eta_n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return reference.build_reference(mdl, eta_n, n)
     except ValueError as exc:  # the inputs are valid: the moments overflowed
         raise config.out_of_range("the reference covariance") from exc
 
@@ -289,10 +292,11 @@ def _check_hoeffding(config: ExperimentConfig, with_multipliers: bool) -> dict:
                 data = model.sample_x(mdl, st, n)
                 if with_multipliers:
                     w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
-                    total, _ = hoeffding.hoeffding_sum(data, eta, weights=w)
-                    direct = hoeffding.direct_product(data, eta, weights=w)
-                    err = (linalg.frobenius_norm(total - direct)
-                           / max(1.0, linalg.frobenius_norm(direct)))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        total, _ = hoeffding.hoeffding_sum(data, eta, weights=w)
+                        direct = hoeffding.direct_product(data, eta, weights=w)
+                        err = (linalg.frobenius_norm(total - direct)
+                               / max(1.0, linalg.frobenius_norm(direct)))
                 else:
                     # The subset terms can cancel by a factor of ~4e6 here, enough for float64
                     # roundoff alone to cross the bound; evaluate exactly, the ratio too.
@@ -397,24 +401,20 @@ def verify(config: ExperimentConfig) -> dict:
 
 # -- file output -------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _cdf_rows(cdf: stats.EmpiricalCdf, prefix: str = ""):
+    """One "t,F" row per sample after `prefix`, the floats written through repr."""
+    n = cdf.count
+    return (f"{prefix}{float(t)!r},{(i + 1) / n!r}" for i, t in enumerate(cdf.sorted_samples))
 
 
 def write_cdf_csv(path, cdf: stats.EmpiricalCdf) -> None:
-    lines = ["t,F"]
-    n = cdf.count
-    lines.extend(f"{_fmt(t)},{_fmt((i + 1) / n)}"
-                 for i, t in enumerate(cdf.sorted_samples))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(["t,F", *_cdf_rows(cdf)]) + "\n")
 
 
 def write_pooled_csv(path, named_cdfs) -> None:
     lines = ["curve,t,F"]
     for name, cdf in named_cdfs:
-        n = cdf.count
-        lines.extend(f"{name},{_fmt(t)},{_fmt((i + 1) / n)}"
-                     for i, t in enumerate(cdf.sorted_samples))
+        lines.extend(_cdf_rows(cdf, f"{name},"))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -441,11 +441,11 @@ def _svg_steps(cdf: stats.EmpiricalCdf):
     return t, f
 
 
-def render_cdf_svg(named_cdfs, width: int = 800, height: int = 600) -> str:
+def render_cdf_svg(named_cdfs) -> str:
     """Overlaid empirical CDF step curves as a self-contained SVG document."""
     colors = ("#1f6fb4", "#c23b22", "#3a8f3a", "#8250a0")
     left, right, top, bottom = 70.0, 20.0, 20.0, 50.0
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = _SVG_WIDTH - left - right, _SVG_HEIGHT - top - bottom
     lo = min(float(cdf.sorted_samples[0]) for _, cdf in named_cdfs)
     hi = max(float(cdf.sorted_samples[-1]) for _, cdf in named_cdfs)
     if hi <= lo:
@@ -453,15 +453,15 @@ def render_cdf_svg(named_cdfs, width: int = 800, height: int = 600) -> str:
     sx = lambda t: left + (t - lo) / (hi - lo) * pw
     sy = lambda p: top + (1.0 - p) * ph
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<line x1="{left:.2f}" y1="{top + ph:.2f}" x2="{left + pw:.2f}" '
         f'y2="{top + ph:.2f}" stroke="black" stroke-width="1"/>',
         f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
         f'y2="{top + ph:.2f}" stroke="black" stroke-width="1"/>',
-        f'<text x="{left:.2f}" y="{height - 14:.2f}" font-size="13">{lo:.4g}</text>',
-        f'<text x="{left + pw - 40:.2f}" y="{height - 14:.2f}" font-size="13">{hi:.4g}</text>',
+        f'<text x="{left:.2f}" y="{_SVG_HEIGHT - 14:.2f}" font-size="13">{lo:.4g}</text>',
+        f'<text x="{left + pw - 40:.2f}" y="{_SVG_HEIGHT - 14:.2f}" font-size="13">{hi:.4g}</text>',
         f'<text x="{left - 28:.2f}" y="{sy(0.0) + 4:.2f}" font-size="13">0</text>',
         f'<text x="{left - 28:.2f}" y="{sy(1.0) + 4:.2f}" font-size="13">1</text>',
     ]

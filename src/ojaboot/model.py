@@ -45,6 +45,14 @@ class KernelSpec:
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """Sigma_ij = exp(-|i-j| c) * s_i s_j with s_i = scale * i^-beta, i 1-based."""
+        idx = np.arange(1, self.d + 1, dtype=float)
+        scales = self.scale * idx**(-self.beta)
+        kernel = np.exp(-self.c * np.abs(idx[:, None] - idx[None, :]))
+        return linalg.sym(kernel * np.outer(scales, scales))
+
 
 @dataclass(frozen=True, eq=False)
 class ExplicitSpec:
@@ -84,15 +92,6 @@ class DiscreteSpec:
 CovarianceSpec = KernelSpec | ExplicitSpec | DiscreteSpec
 
 
-def build_kernel_covariance(d: int, c: float, beta: float, scale: float) -> np.ndarray:
-    """Sigma_ij = exp(-|i-j| c) * s_i s_j with s_i = scale * i^-beta, i 1-based."""
-    KernelSpec(d, c, beta, scale)  # validate
-    idx = np.arange(1, d + 1, dtype=float)
-    scales = scale * idx**(-beta)
-    kernel = np.exp(-c * np.abs(idx[:, None] - idx[None, :]))
-    return linalg.sym(kernel * np.outer(scales, scales))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Covariance with its spectral data and the sampling law that produced it."""
@@ -123,17 +122,9 @@ class SpectralModel:
             )
 
 
-def covariance_of(spec: CovarianceSpec) -> np.ndarray:
-    if isinstance(spec, KernelSpec):
-        return build_kernel_covariance(spec.d, spec.c, spec.beta, spec.scale)
-    if isinstance(spec, (ExplicitSpec, DiscreteSpec)):
-        return spec.sigma
-    raise TypeError(f"not a covariance spec: {type(spec).__name__}")
-
-
 def spectral_decompose(spec: CovarianceSpec) -> SpectralModel:
     """Eigensystem of the described covariance; a degenerate eigengap is a soft flag."""
-    sigma = covariance_of(spec)
+    sigma = spec.sigma
     eig = linalg.eigh(sigma)
     sqrt_sigma = linalg.sqrt_psd(sigma, dec=eig)
     lambda1 = float(eig.eigenvalues[0])

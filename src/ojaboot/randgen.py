@@ -70,25 +70,19 @@ class RngStream:
 
     # -- sampling primitives ------------------------------------------------
 
-    def normal(self, mean: float = 0.0, variance: float = 1.0, size=None, out=None):
-        """N(mean, variance) draw(s); variance 0 degenerates to the mean. Into `out`
-        when given, scaled and shifted in place: the same values, bit for bit."""
+    def normal(self, mean: float = 0.0, variance: float = 1.0, size=None):
+        """N(mean, variance) draw(s); variance 0 degenerates to the mean."""
         if variance < 0:
             raise ValueError(f"variance must be >= 0, got {variance}")
-        z = self._gen.standard_normal(size, out=out)
-        if out is None:
-            return mean + math.sqrt(variance) * z
-        z *= math.sqrt(variance)
-        z += mean
-        return z
+        return mean + math.sqrt(variance) * self._gen.standard_normal(size)
 
     def standard_normal(self, out):
-        """N(0, 1) draws into `out`: what normal(0, v, out=out) scales by sqrt(v)."""
+        """N(0, 1) draws into `out`: the values that normal(0, v) scales by sqrt(v)."""
         return self._gen.standard_normal(out=out)
 
-    def uniform_sym(self, size=None, out=None):
-        """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1; into `out` when given."""
-        return to_symmetric(self._gen.random(size, out=out))
+    def uniform_sym(self, size=None):
+        """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1."""
+        return to_symmetric(self._gen.random(size))
 
     def chisq1(self, size=None):
         """chi^2(1) draw(s), literally the square of a standard normal (in place)."""

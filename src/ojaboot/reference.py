@@ -183,12 +183,11 @@ def anticoncentration_check(draws, h: float) -> dict:
     """
     if h <= 0.0:
         raise ValueError("window width must be positive")
-    draws = np.sort(draws)
-    n_mc = draws.size
     cdf = stats.EmpiricalCdf(draws)
+    s, n_mc = cdf.sorted_samples, cdf.count
     grid = np.linspace(cdf.quantile(0.001), cdf.quantile(0.999), _GRID_POINTS)
-    counts = (np.searchsorted(draws, grid + h, side="right")
-              - np.searchsorted(draws, grid, side="left"))
+    counts = (np.searchsorted(s, grid + h, side="right")
+              - np.searchsorted(s, grid, side="left"))
     max_prob = float(counts.max() / n_mc)
     bound = float(np.sqrt(4.0 * h / np.pi))
     slack = 3.0 * np.sqrt(0.25 / n_mc)

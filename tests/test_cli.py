@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -133,9 +134,15 @@ class TestExitCodes:
         p.write_text(json.dumps({"scale": scale, "d": 10, "n": 500, "trials": 4,
                                  "replicates": 4, "mc_chisq": 1000,
                                  "output_dir": str(tmp_path / "out")}))
-        assert cli.main([command, "--config", str(p)]) == 2
+        # a numpy overflow warning would print to stderr ahead of the error, with its
+        # source line; record every warning instead of letting pytest keep it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--config", str(p)]) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert "config error:" in err and f"scale = {scale!r}" in err
+        assert len(err.splitlines()) == 1 and err.startswith("config error:")
+        assert f"scale = {scale!r}" in err
 
     @pytest.mark.parametrize("raw", [{"c": 0, "d": 2}, {"beta": 1e6, "d": 4}],
                              ids=["rank-one-kernel", "underflowing-scales"])

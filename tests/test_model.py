@@ -19,17 +19,17 @@ def rademacher_e1(d=2):
 class TestKernelCovariance:
     @pytest.mark.parametrize("d,c,beta", [(2, 0.01, 1.0), (10, 0.01, 0.2), (30, 0.5, 1.0)])
     def test_sigma11_is_scale_squared(self, d, c, beta):
-        sigma = model.build_kernel_covariance(d, c, beta, 5.0)
+        sigma = model.KernelSpec(d, c, beta, 5.0).sigma
         assert sigma[0, 0] == pytest.approx(25.0)
 
     def test_off_diagonal_value(self):
         # sigma_12 = exp(-0.01) * 5 * (5/2) = 12.5 exp(-0.01)
-        sigma = model.build_kernel_covariance(2, 0.01, 1.0, 5.0)
+        sigma = model.KernelSpec(2, 0.01, 1.0, 5.0).sigma
         assert sigma[0, 1] == pytest.approx(12.5 * math.exp(-0.01), rel=1e-12)
         assert sigma[0, 1] == pytest.approx(12.37562, abs=5e-6)
 
     def test_flat_kernel_is_rank_one(self):
-        sigma = model.build_kernel_covariance(4, 0.0, 0.0, 5.0)
+        sigma = model.KernelSpec(4, 0.0, 0.0, 5.0).sigma
         np.testing.assert_allclose(sigma, 25.0 * np.ones((4, 4)))
         vals = linalg.eigh(sigma).eigenvalues
         assert vals[0] == pytest.approx(100.0)
@@ -37,17 +37,17 @@ class TestKernelCovariance:
 
     @pytest.mark.parametrize("d,beta", [(10, 1.0), (30, 0.2)])
     def test_psd(self, d, beta):
-        sigma = model.build_kernel_covariance(d, 0.01, beta, 5.0)
+        sigma = model.KernelSpec(d, 0.01, beta, 5.0).sigma
         vals = linalg.eigh(sigma).eigenvalues
         assert np.min(vals) >= -1e-10 * vals[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            model.build_kernel_covariance(1, 0.01, 1.0, 5.0)
+            model.KernelSpec(1, 0.01, 1.0, 5.0).sigma
         with pytest.raises(ValueError):
-            model.build_kernel_covariance(3, -0.1, 1.0, 5.0)
+            model.KernelSpec(3, -0.1, 1.0, 5.0).sigma
         with pytest.raises(ValueError):
-            model.build_kernel_covariance(3, 0.01, 1.0, 0.0)
+            model.KernelSpec(3, 0.01, 1.0, 0.0).sigma
 
 
 class TestSpectralDecompose:

@@ -60,15 +60,6 @@ class TestNormal:
         w = s.normal(0.0, 0.5, 10**6)
         assert abs(w.var() - 0.5) < 0.01
 
-    @pytest.mark.parametrize("mean, variance", [(0.0, 0.5), (-1.5, 2.0)])
-    def test_out_equals_fresh_draws_bitwise(self, mean, variance):
-        fresh = randgen.derive_stream(8, ("w", 2)).normal(mean, variance, 257)
-        buf = np.full(260, np.nan)
-        got = randgen.derive_stream(8, ("w", 2)).normal(mean, variance, out=buf[3:])
-        assert got.base is buf
-        assert buf[3:].tobytes() == fresh.tobytes()
-        assert np.isnan(buf[:3]).all()
-
     def test_standard_normal_scaled_once_equals_normal_bitwise(self):
         fresh = randgen.derive_stream(8, ("w", 2)).normal(0.0, 0.5, 257)
         buf = np.empty(257)
@@ -111,9 +102,6 @@ class TestUniformSym:
         for _ in range(2):
             np.testing.assert_array_equal(s.uniform_sym(size),
                                           g.uniform(-randgen.ROOT3, randgen.ROOT3, size))
-        out = np.empty(size if size is not None else ())
-        np.testing.assert_array_equal(s.uniform_sym(out=out),
-                                      g.uniform(-randgen.ROOT3, randgen.ROOT3, size))
 
 
 class TestChisq1:
