@@ -17,17 +17,18 @@ and A_i elsewhere. `factor_pairs` builds the pairs once per sum; a = eta_n / n.
 wrong pair cannot cancel out of the identity it checks. These builders are
 ground truth for tests and the verify suite. Enumeration is capped at
 2^n <= 10^6 subsets (model.ENUMERATION_CAP), so n <= 19. In float64 the terms
-can cancel by a factor of 1e6 or more (sum_S ||H(S)|| against the product), so
-`hoeffding_sum` and `direct_product` take exact=True: a float is a dyadic
-rational, so the inputs become Fractions without loss, are scaled to integers
-over one common denominator, multiplied and summed as integers, and returned
-as object arrays of Fractions, with no rounding at all.
+can cancel by a factor of 1e6 or more (sum_S ||H(S)|| against the product), and
+the products overflow long before their inputs do, so `hoeffding_sum` and
+`direct_product` take exact=True. A float is a dyadic rational: each input's
+integer ratio is read once, and the factors (or the pairs) become integer
+matrices over one common denominator, a power of two times n. The products
+and sums run on those integers, and the one division at the end returns
+object arrays of Fractions, with no rounding at any scale.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from fractions import Fraction
 
@@ -42,14 +43,10 @@ def ordered_product(factors) -> np.ndarray:
     factors = list(factors)
     if not factors:
         raise ValueError("need the dimension from at least one factor")
-    out = np.eye(factors[0].shape[0], dtype=factors[0].dtype)
-    for f in factors:
+    out = factors[0].copy()
+    for f in factors[1:]:
         out = f @ out
     return out
-
-
-def _map(fn, a: np.ndarray) -> np.ndarray:
-    return np.array([fn(v) for v in a.flat], dtype=object).reshape(a.shape)
 
 
 def _as_rows(data) -> np.ndarray:
@@ -59,72 +56,74 @@ def _as_rows(data) -> np.ndarray:
     return data
 
 
-def _exact(a) -> np.ndarray:
-    """A float array as an object array of Fractions, with no rounding."""
-    return _map(Fraction, np.asarray(a, dtype=float))
-
-
-def _integers(mats):
-    """([den * m for m in mats], den) for rational matrices, den their least
-    common denominator; None passes through. Integer products skip the gcd that
-    every Fraction operation pays."""
-    den = math.lcm(*(v.denominator for m in mats if m is not None for v in m.flat))
-    return [None if m is None else _map(lambda v: v.numerator * (den // v.denominator), m)
-            for m in mats], den
+def _dyadic(a):
+    """(m, q): the float array a as integers m over one power of two q, m = q a.
+    Each float's integer ratio is read once; nothing rounds."""
+    ratios = [v.as_integer_ratio() for v in np.ravel(a).tolist()]
+    q = max((r for _, r in ratios), default=1)
+    return np.array([p * (q // r) for p, r in ratios], dtype=object).reshape(np.shape(a)), q
 
 
 def _fractions(m: np.ndarray, den: int) -> np.ndarray:
     # Fraction + float is a float, so a stray float would otherwise pass silently.
     if not all(isinstance(v, numbers.Rational) for v in m.flat):
         raise TypeError("a float entered an exact evaluation")
-    return _map(lambda v: Fraction(v, den), m)
+    return np.array([Fraction(v, den) for v in m.flat], dtype=object).reshape(m.shape)
 
 
-def _prepare(data, eta_n: float, weights, exact: bool):
-    """(rows, a = eta_n / n, weights, identity), all rational when exact."""
+def _prepare(data, eta_n: float, sigma, weights, exact: bool):
+    """(rows, a, sigma, aw, eye, den): every factor and pair is a sum of eye,
+    a x_i x_i^T, a sigma and aw_i Delta_i over den, x_i the rows. Float: the
+    inputs, a = eta_n / n, aw = a W and den None. Exact: with eta_n = e / q_e,
+    W = w / q_w and u the least power of two that makes u X and u^2 sigma
+    integers, den = n q_e q_w u^2 and the parts u X, a = e q_w, u^2 sigma and
+    aw = e w are all integers."""
     data = _as_rows(data)
-    n = data.shape[0]
+    n, d = data.shape
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError("need one weight per sample")
-    if exact:
-        data, eta_n = _exact(data), Fraction(eta_n)
-        weights = None if weights is None else _exact(weights)
-    # zero rows give no factor for a to scale
-    return data, eta_n / max(n, 1), weights, np.eye(data.shape[1], dtype=data.dtype)
+    if sigma is not None:
+        sigma = linalg.sym(sigma)
+    if not exact:
+        a = eta_n / max(n, 1)  # zero rows give no factor for a to scale
+        return data, a, sigma, None if weights is None else a * weights, np.eye(d), None
+    e, qe = float(eta_n).as_integer_ratio()
+    x, qx = _dyadic(data)
+    s, qs = (None, 1) if sigma is None else _dyadic(sigma)
+    w, qw = (None, 1) if weights is None else _dyadic(weights)
+    u = max(qx, 1 << (qs.bit_length() // 2))
+    den = max(n, 1) * qe * qw * u * u
+    return (x * (u // qx), e * qw, None if s is None else s * (u * u // qs),
+            None if w is None else e * w, den * np.eye(d, dtype=object), den)
 
 
 def direct_product(data, eta_n: float, weights=None, exact: bool = False) -> np.ndarray:
     """F_n ... F_1 with F_i = I + a X_i X_i^T, plus a W_i Delta_i for i >= 2 when
     weights are given; zero rows give the identity."""
-    data, a, weights, eye = _prepare(data, eta_n, weights, exact)
-    if data.shape[0] == 0:
-        return eye
-    factors = []
-    for i, x in enumerate(data):
-        f = eye + a * np.outer(x, x)
-        if weights is not None and i > 0:
-            f = f + a * weights[i] * (np.outer(x, x) - np.outer(data[i - 1], data[i - 1]))
-        factors.append(f)
-    if not exact:
-        return ordered_product(factors)
-    ints, den = _integers(factors)
-    return _fractions(ordered_product(ints), den ** len(ints))
+    rows, a, _, aw, eye, den = _prepare(data, eta_n, None, weights, exact)
+    outer = [np.outer(x, x) for x in rows]
+    factors = [eye + a * xx for xx in outer]
+    if aw is not None:  # no sample precedes F_1
+        factors[1:] = [f + aw[i] * (outer[i] - outer[i - 1])
+                       for i, f in enumerate(factors[1:], 1)]
+    product, k = (ordered_product(factors), len(factors)) if factors else (eye, 1)
+    return product if den is None else _fractions(product, den ** k)
 
 
 def factor_pairs(data, eta_n: float, sigma=None, weights=None, exact: bool = False) -> list:
     """[(A_i, B_i)] for i = 1..n: the plain pairs from sigma, or the bootstrap
-    pairs from weights (B_1 is then None). Exactly one of the two is given."""
+    pairs from weights (B_1 is then None). Exactly one of the two is given.
+    Exact pairs are integer matrices over `_prepare`'s common denominator."""
     if (sigma is None) == (weights is None):
         raise ValueError("give exactly one of sigma (plain) and weights (bootstrap)")
-    data, a, weights, eye = _prepare(data, eta_n, weights, exact)
-    outer = [np.outer(x, x) for x in data]
-    if weights is None:
-        sigma = _exact(linalg.sym(sigma)) if exact else linalg.sym(sigma)
+    rows, a, sigma, aw, eye, _ = _prepare(data, eta_n, sigma, weights, exact)
+    outer = [np.outer(x, x) for x in rows]
+    if aw is None:
         base = eye + a * sigma
         return [(base, a * (xx - sigma)) for xx in outer]
-    return [(eye + a * xx, None if i == 0 else a * weights[i] * (xx - outer[i - 1]))
+    return [(eye + a * xx, None if i == 0 else aw[i] * (xx - outer[i - 1]))
             for i, xx in enumerate(outer)]
 
 
@@ -149,18 +148,16 @@ def hoeffding_sum(data, eta_n: float, sigma=None, weights=None, exact: bool = Fa
     the number of indices with an increment: n plain, n - 1 bootstrap."""
     pairs = factor_pairs(data, eta_n, sigma, weights, exact)
     _check_enumeration_size(len(pairs))
-    if exact:
-        ints, den = _integers([m for pair in pairs for m in pair])
-        pairs = list(zip(ints[::2], ints[1::2]))
     idx = [i for i, (_, b) in enumerate(pairs, 1) if b is not None]
     terms = [np.zeros_like(pairs[0][0]) for _ in range(len(idx) + 1)]
     for k in range(len(idx) + 1):
         for combo in itertools.combinations(idx, k):
             terms[k] += hoeffding_term(pairs, frozenset(combo))
-    if exact:
-        scale = den ** len(pairs)
-        terms = [_fractions(t, scale) for t in terms]
-    return np.sum(terms, axis=0), terms
+    if not exact:
+        return np.sum(terms, axis=0), terms
+    # the pairs are integers over _prepare's denominator, so each term over its n-th power
+    scale = _prepare(data, eta_n, sigma, weights, exact)[-1] ** len(pairs)
+    return _fractions(np.sum(terms, axis=0), scale), [_fractions(t, scale) for t in terms]
 
 
 def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:

@@ -125,7 +125,7 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(p)]) == 0
 
     @pytest.mark.parametrize("scale, command", [
-        (1e30, "verify"), (1e80, "reference"), (1e80, "verify"), (1e80, "sampling"),
+        (1e80, "reference"), (1e80, "verify"), (1e80, "sampling"),
         (1e80, "bootstrap"), (1e80, "compare"),
         *[(1.2e154, c) for c in ("sampling", "bootstrap", "reference", "compare", "verify")]])
     def test_scale_out_of_the_float_range_is_config_error(self, tmp_path, capsys, scale,
@@ -143,6 +143,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error:")
         assert f"scale = {scale!r}" in err
+
+    @pytest.mark.parametrize("scale", [1e30, 1e70])
+    def test_verify_passes_past_the_float_oracle_range(self, tmp_path, capsys, scale):
+        # both Hoeffding checks are exact, so their products may pass 1e308
+        p = tmp_path / "scale.json"
+        p.write_text(json.dumps({"scale": scale, "d": 10, "n": 500, "mc_chisq": 1000,
+                                 "output_dir": str(tmp_path / "out")}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["verify", "--config", str(p)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert [c["passed"] for c in report["checks"]] == [True] * 7
+        by_name = {c["name"]: c["value"] for c in report["checks"]}
+        assert by_name["hoeffding_exactness"] == by_name["bootstrap_hoeffding_exactness"] == 0.0
 
     @pytest.mark.parametrize("raw", [{"c": 0, "d": 2}, {"beta": 1e6, "d": 4}],
                              ids=["rank-one-kernel", "underflowing-scales"])

@@ -5,12 +5,14 @@ against directly computed products; expectations over discrete laws are exact
 sums over enumerated outcomes.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ojaboot import hoeffding, linalg, model, reference
+from ojaboot import hoeffding, linalg, model, randgen, reference
 
 
 def three_point_law():
@@ -138,6 +140,56 @@ class TestHoeffdingSum:
         # 2^20 > 10^6 subsets, so 19 is the largest n the cap admits
         with pytest.raises(ValueError, match=r"capped at n = 19 .*got 20"):
             hoeffding.hoeffding_sum(np.zeros((20, 2)), 1.0, sigma=np.eye(2))
+
+
+def fraction_oracle(data, eta_n, sigma=None, weights=None):
+    """(direct product, subset sum) in Fractions throughout, from each input
+    float's exact value: the reference for the integer evaluation."""
+    def exact(a):
+        return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
+
+    def product(factors):  # factors[0] acts first
+        return functools.reduce(lambda out, f: f @ out, factors)
+
+    x = exact(data)
+    n, d = x.shape
+    a = Fraction(eta_n) / n
+    eye = np.eye(d, dtype=object)
+    outer = [np.outer(r, r) for r in x]
+    if weights is None:
+        s = exact(linalg.sym(sigma))
+        pairs = [(eye + a * s, a * (xx - s)) for xx in outer]
+        factors = [eye + a * xx for xx in outer]
+    else:
+        w = exact(weights)
+        inc = [None] + [a * w[i] * (outer[i] - outer[i - 1]) for i in range(1, n)]
+        pairs = [(eye + a * xx, b) for xx, b in zip(outer, inc)]
+        factors = [eye + a * xx + (0 if b is None else b) for xx, b in zip(outer, inc)]
+    idx = [i for i, (_, b) in enumerate(pairs) if b is not None]
+    total = sum(product([inc_i if i in s else base for i, (base, inc_i) in enumerate(pairs)])
+                for k in range(len(idx) + 1) for s in itertools.combinations(idx, k))
+    return product(factors), total
+
+
+class TestExactAgainstFractions:
+    @pytest.mark.parametrize("scale", [5.0, 1e70])
+    @pytest.mark.parametrize("n, d", [(1, 2), (3, 3), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
+    def test_integer_evaluation_equals_the_fraction_oracle(self, kind, n, d, scale):
+        mdl = model.spectral_decompose(model.KernelSpec(d=d, c=0.01, beta=1.0, scale=scale))
+        stream = randgen.derive_stream(11, ("exact", kind, n, d))
+        data = model.sample_x(mdl, stream, n)
+        args = ({"sigma": mdl.sigma} if kind == "plain"
+                else {"weights": stream.normal(0.0, 0.5, n)})
+        eta = float(np.log(n + 1))
+        direct, total = fraction_oracle(data, eta, **args)
+        got_total, terms = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
+        got_direct = hoeffding.direct_product(data, eta, args.get("weights"), exact=True)
+        assert all(isinstance(v, Fraction)
+                   for m in (got_total, got_direct, *terms) for v in m.flat)
+        assert np.array_equal(got_direct, direct)
+        assert np.array_equal(got_total, total)
+        assert np.array_equal(np.sum(terms, axis=0), total)
 
 
 class TestBootstrapHoeffding:
