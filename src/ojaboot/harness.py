@@ -317,11 +317,16 @@ def _check_orthogonality(config: ExperimentConfig) -> dict:
 
 
 def _check_chisq_moments(draws, weights: reference.WeightedChiSq) -> dict:
-    se_mean = np.sqrt(weights.variance / draws.size)
-    mean_dev = abs(draws.mean() - weights.mean) / max(se_mean, 1e-300)
-    m4 = float(np.mean((draws - draws.mean()) ** 4))
-    se_var = np.sqrt(max(m4 - draws.var() ** 2, 1e-300) / draws.size)
-    var_dev = abs(draws.var() - weights.variance) / se_var
+    n, mean = draws.size, draws.mean()
+    se_mean = np.sqrt(weights.variance / n)
+    mean_dev = abs(mean - weights.mean) / max(se_mean, 1e-300)
+    # np.mean((draws - mean) ** 4) and draws.var() bit for bit, in one scratch array
+    scratch = np.subtract(draws, mean)
+    m4 = float(np.power(scratch, 4, out=scratch).mean())
+    np.subtract(draws, mean, out=scratch)
+    var = np.multiply(scratch, scratch, out=scratch).sum() / n
+    se_var = np.sqrt(max(m4 - var ** 2, 1e-300) / n)
+    var_dev = abs(var - weights.variance) / se_var
     passed = mean_dev <= 4.0 and var_dev <= 5.0
     return {"name": "chisq_moments",
             "value": {"mean_sigmas": float(mean_dev), "var_sigmas": float(var_dev)},

@@ -23,14 +23,14 @@ the products overflow long before their inputs do, so `hoeffding_sum` and
 integer ratio is read once, and the factors (or the pairs) become integer
 matrices over one common denominator, a power of two times n. The products
 and sums run on those integers, and the one division at the end returns
-object arrays of Fractions, with no rounding at any scale.
+object arrays of Fractions, with no rounding at any scale. Only that division
+imports `fractions`, so a run that evaluates nothing exactly never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +65,7 @@ def _dyadic(a):
 
 
 def _fractions(m: np.ndarray, den: int) -> np.ndarray:
+    from fractions import Fraction  # loads decimal too, so only exact evaluation imports it
     # Fraction + float is a float, so a stray float would otherwise pass silently.
     if not all(isinstance(v, numbers.Rational) for v in m.flat):
         raise TypeError("a float entered an exact evaluation")

@@ -20,6 +20,8 @@ step is two products: [p; x_t] @ w^T gives both dots and, scaled in place by the
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .linalg import check_vector
@@ -133,17 +135,17 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
 
 
 def run(source, n: int, eta_n: float, u0) -> np.ndarray:
-    """Consume n samples from `source` (an (n, d) array or iterable of vectors)."""
+    """Consume the first n samples of `source`: an array's rows or any iterable's, lazily."""
     w = normalize(u0)
     if n == 0:
         return w
-    rows = source if isinstance(source, np.ndarray) else list(source)
+    rows = source[:n] if isinstance(source, np.ndarray) else list(itertools.islice(source, n))
     if len(rows) < n:
         raise ValueError(f"source has {len(rows)} rows, need {n}")
-    for i, row in enumerate(rows[:n]):
+    for i, row in enumerate(rows):
         if np.shape(row) != w.shape:
             raise ValueError(f"row {i} has dimension {np.shape(row)}, u0 has dimension {w.size}")
-    return unit_rows(advance(w[None, :], np.asarray(rows[:n], dtype=float), eta_n / n))[0]
+    return unit_rows(advance(w[None, :], np.asarray(rows, dtype=float), eta_n / n))[0]
 
 
 def sin2(u, v) -> float:

@@ -363,15 +363,21 @@ def run_module(args, cwd, code=None, **env_overrides):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
-def test_no_numpy_ma_import(config_path, tmp_path):
+@pytest.mark.parametrize("commands, absent", [
     # numpy.median, union1d and unique import numpy.ma, a megabyte of memory
-    code = ("import sys; from ojaboot import cli; "
-            f"cli.main(['compare', '--config', {str(config_path)!r}, '--threads', '2']); "
-            f"cli.main(['verify', '--config', {str(config_path)!r}]); "
-            "print('numpy.ma' in sys.modules)")
+    ([["compare", "--threads", "2"], ["verify"]], ["numpy.ma"]),
+    # only verify evaluates exactly, and fractions loads decimal with it
+    ([["compare"], ["sampling"], ["bootstrap"], ["reference"]],
+     ["numpy.ma", "fractions", "decimal", "_decimal"]),
+], ids=["compare-verify", "no-exact-evaluation"])
+def test_no_numpy_ma_import(config_path, tmp_path, commands, absent):
+    calls = ", ".join(f"cli.main({[c[0], '--config', str(config_path), *c[1:]]!r})"
+                      for c in commands)
+    code = (f"import sys; from ojaboot import cli; codes = [{calls}]; "
+            f"print(codes, [m for m in {absent!r} if m in sys.modules])")
     proc = run_module([], tmp_path, code=code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 def test_module_entry_point(config_path, tmp_path):

@@ -443,6 +443,20 @@ class TestVerify:
             "mean_sigmas": float(abs(draws.mean() - unit.mean) / se_mean),
             "var_sigmas": float(abs(draws.var() - unit.variance) / se_var)}
 
+    def test_chisq_moments_hold_one_scratch_array(self):
+        unit = reference.WeightedChiSq(np.array([3.0, 1.0, 0.5, 0.25])).unit()
+        draws = reference.sample_weighted_chisq(unit, randgen.derive_stream(4, ("moments",)),
+                                                10**5)
+        se_mean = np.sqrt(unit.variance / draws.size)
+        m4 = float(np.mean((draws - draws.mean()) ** 4))
+        se_var = np.sqrt(max(m4 - draws.var() ** 2, 1e-300) / draws.size)
+        assert harness._check_chisq_moments(draws, unit)["value"] == {
+            "mean_sigmas": float(abs(draws.mean() - unit.mean) / max(se_mean, 1e-300)),
+            "var_sigmas": float(abs(draws.var() - unit.variance) / se_var)}
+        # the textbook expressions hold two sample-sized temporaries at once
+        peak = traced_peak_bytes(lambda: harness._check_chisq_moments(draws, unit))
+        assert peak < 1.5 * draws.nbytes
+
     def test_hoeffding_exactness_survives_cancellation(self):
         # Default config, seed 5: the n=6, d=3, eta=log 6 case sums subset terms
         # of total norm ~6e7 to a product of norm ~15, and float64 evaluation

@@ -100,6 +100,16 @@ class TestRun:
         w_it = oja.run(iter(data), n=2, eta_n=1.0, u0=[1.0, 1.0])
         np.testing.assert_array_equal(w_arr, w_it)
 
+    def test_reads_no_row_past_n(self):
+        def rows():
+            yield from ([1.0, 0.5], [1.0, 0.5])
+            raise AssertionError("run asked for row n + 1")
+
+        w = oja.run(rows(), n=2, eta_n=1.0, u0=[1.0, 0.0])
+        np.testing.assert_array_equal(w, oja.run(np.array([[1.0, 0.5]] * 3), n=2, eta_n=1.0,
+                                                 u0=[1.0, 0.0]))
+        np.testing.assert_allclose(w, [0.962, 0.273], atol=5e-4)
+
     def test_short_source_rejected(self):
         with pytest.raises(ValueError):
             oja.run(np.zeros((2, 2)), n=3, eta_n=1.0, u0=[1.0, 0.0])

@@ -1,5 +1,7 @@
 """Reference covariance assembly, chi-square weights, and anti-concentration."""
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -92,6 +94,23 @@ class TestEstimateM:
         # matrix lam1 * diag(lam_2, ..., lam_d) misses some entry by more than 5 SE
         lam = mdl.eig.eigenvalues
         assert np.any(np.abs(mean - lam[0] * np.diag(lam[1:])) > 5 * se)
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_closed_form_matches_rademacher_support_sum(self, d, monkeypatch):
+        # x = Sigma^{1/2} z with z uniform on {-1, 1}^d has kappa = E z^4 = 1; as a
+        # DiscreteSpec on the same eigenvectors, its exact support sum is the oracle
+        mdl = kernel_model(d, 0.3, 1.0, scale=2.0)
+        z = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+        law = model.DiscreteSpec(z @ mdl.sqrt_sigma, np.full(2**d, 0.5**d))
+        exact = reference.estimate_M(dataclasses.replace(mdl, sampling_law=law))
+
+        def rel_gap():
+            return (linalg.frobenius_norm(reference.estimate_M(mdl) - exact)
+                    / linalg.frobenius_norm(exact))
+
+        assert rel_gap() > 0.1  # at kappa = 9/5: the oracle resolves the kappa term
+        monkeypatch.setattr(randgen, "KAPPA", 1.0)
+        assert rel_gap() <= 1e-12
 
     def test_psd_and_symmetric(self):
         mdl = kernel_model(8, 0.4, 0.5)
