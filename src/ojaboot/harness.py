@@ -52,10 +52,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the CLI maps this to exit code 2."""
 
 
-_INT_FIELDS = ("n", "d", "trials", "replicates", "mc_m_estimate", "mc_chisq", "master_seed")
-_REAL_FIELDS = ("beta", "c", "scale")
-
-
 def _require_finite(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -63,6 +59,8 @@ def _require_finite(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config file's schema: one field per key, validated by its annotation."""
+
     n: int = 5000
     d: int = 100
     beta: float = 1.0
@@ -70,20 +68,22 @@ class ExperimentConfig:
     scale: float = 5.0
     trials: int = 300
     replicates: int = 300
-    eta_rule: str = "log_n"
-    eta_value: float | None = None
+    eta_rule: str | dict = "log_n"  # or {"fixed": value}
     master_seed: int = 0
     mc_m_estimate: int = 10**5  # validated and echoed; the moment matrix is exact
     mc_chisq: int = 10**5
     output_dir: str = "out"
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            _require_finite(name, getattr(self, name))
+        for f in fields(self):  # the annotations are strings, from __future__
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float":
+                _require_finite(f.name, value)
+            if f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
         if self.n < 2 or self.d < 2:
             raise ConfigError("need n >= 2 and d >= 2")
         if self.trials < 1 or self.replicates < 1:
@@ -92,25 +92,20 @@ class ExperimentConfig:
             raise ConfigError("Monte Carlo sizes must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
-        if self.eta_rule == "log_n":
-            if self.eta_value is not None:
-                raise ConfigError("log_n rule takes no value")
-        elif self.eta_rule == "fixed":
-            _require_finite("eta_rule.fixed", self.eta_value)
-            if not self.eta_value > 0:
-                raise ConfigError("fixed eta rule needs a positive value")
-        else:
-            raise ConfigError(f"unknown eta_rule {self.eta_rule!r}")
         if self.scale <= 0 or self.c < 0:
             raise ConfigError("need scale > 0 and c >= 0")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        rule = self.eta_rule
+        if rule != "log_n":
+            if not (isinstance(rule, dict) and set(rule) == {"fixed"}):
+                raise ConfigError(f'eta_rule must be "log_n" or {{"fixed": value}}, got {rule!r}')
+            _require_finite("eta_rule.fixed", rule["fixed"])
+            if not rule["fixed"] > 0:
+                raise ConfigError("fixed eta rule needs a positive value")
+            object.__setattr__(self, "eta_rule", {"fixed": float(rule["fixed"])})
 
     @property
     def eta_n(self) -> float:
-        if self.eta_rule == "log_n":
-            return float(np.log(self.n))
-        return float(self.eta_value)
+        return float(np.log(self.n)) if self.eta_rule == "log_n" else self.eta_rule["fixed"]
 
     def spectral_model(self, d: int | None = None) -> model.SpectralModel:
         """The kernel model, on d coordinates instead of the config's if given."""
@@ -128,31 +123,17 @@ class ExperimentConfig:
         return randgen.derive_stream(self.master_seed, path)
 
     def echo(self) -> dict:
-        """The config file's keys; a fixed eta_value is written inside eta_rule."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "eta_value"}
-        if self.eta_rule == "fixed":
-            out["eta_rule"] = {"fixed": float(self.eta_value)}
-        return out
+        """The config file's keys and values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"eta_value"}
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    rule = kwargs.pop("eta_rule", "log_n")
-    if isinstance(rule, str):
-        kwargs["eta_rule"], kwargs["eta_value"] = rule, None
-    elif isinstance(rule, dict) and set(rule) == {"fixed"}:
-        kwargs["eta_rule"], kwargs["eta_value"] = "fixed", rule["fixed"]
-    else:
-        raise ConfigError("eta_rule must be \"log_n\" or {\"fixed\": value}")
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)
 
 
 def load_config(path=None, seed=None, out=None) -> ExperimentConfig:
@@ -191,6 +172,9 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
     A trial draws its rows chunk by chunk from its own ("trial", j) stream,
     the same uniform coordinates as one bulk draw. Its iterate is rescaled only
     by powers of two during the pass and normalized once, at the end."""
+    gain = config.n / config.eta_n  # the scaled errors are gain * sin^2
+    if not math.isfinite(gain):
+        raise ConfigError(f"n / eta_n leaves the finite range at eta_n = {config.eta_n!r}")
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
@@ -207,7 +191,7 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
             w = oja.advance(w, z, eta, root=mdl.sqrt_sigma)
         blocks.append(w)
     errors = np.array([oja.sin2(row, mdl.v1) for row in _unit_rows(np.vstack(blocks), config)])
-    scaled = (config.n / config.eta_n) * errors
+    scaled = gain * errors
     return {
         "cdf": stats.ecdf(errors),
         "samples": errors,

@@ -119,7 +119,8 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
             moved += bits[t]
             if not shared:  # vector dots w_i @ x_it, on the step's slab of samples
                 xt = np.matmul(x[:, t], root, out=slab)
-                w += eta * (w[:, None, :] @ xt[:, :, None])[:, 0] * xt
+                xt *= eta * (w[:, None, :] @ xt[:, :, None])[:, 0]
+                w += xt
             elif mult is None:
                 w += eta * (w @ x[t])[:, None] * x[t]
             else:

@@ -44,10 +44,12 @@ class TestExitCodes:
         assert cli.main(["sampling", "--config", str(p)]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_unknown_key_is_config_error(self, tmp_path):
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"n": 100, "wrong_key": 1}))
-        assert cli.main(["sampling", "--config", str(p)]) == 2
+        for raw in ({"n": 100, "wrong_key": 1}, {"eta_value": 7.5}):
+            p.write_text(json.dumps(raw))
+            assert cli.main(["sampling", "--config", str(p)]) == 2
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_invalid_field_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -94,20 +96,24 @@ class TestExitCodes:
         assert cli.main(args) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [["sampling"], ["bootstrap"],
-                                      ["compare", "--threads", "2"]],
-                             ids=["sampling", "bootstrap", "compare-forked"])
+    @pytest.mark.parametrize("args, rate", [
+        (["sampling"], 1e300), (["bootstrap"], 1e300), (["compare", "--threads", "2"], 1e300),
+        # n / eta_n, the scale of sampling's scaled errors, overflows
+        (["sampling"], 1e-320), (["compare", "--threads", "1"], 1e-320),
+        (["compare", "--threads", "2"], 1e-320),
+    ], ids=["sampling", "bootstrap", "compare-forked", "sampling-tiny-rate",
+            "compare-tiny-rate", "compare-forked-tiny-rate"])
     def test_pass_beyond_the_finite_range_is_config_error(self, config_path, capsys,
-                                                          monkeypatch, args):
+                                                          monkeypatch, args, rate):
         raw = json.loads(config_path.read_text())
-        raw.update(n=50, eta_rule={"fixed": 1e300})
+        raw.update(n=50, eta_rule={"fixed": rate})
         config_path.write_text(json.dumps(raw))
-        if args[0] == "compare":
+        if args[0] == "compare" and rate > 1:
             # sampling runs in this process at a sane rate, so the error is raised in
             # the forked bootstrap process and has to come back through the pipe
             sampling = harness.run_sampling_experiment
             monkeypatch.setattr(harness, "run_sampling_experiment", lambda config: sampling(
-                dataclasses.replace(config, eta_rule="log_n", eta_value=None)))
+                dataclasses.replace(config, eta_rule="log_n")))
         assert cli.main([*args, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "finite range" in err

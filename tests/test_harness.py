@@ -78,13 +78,13 @@ class TestExperimentConfig:
         assert tiny_config().eta_n == pytest.approx(np.log(60))
 
     def test_eta_fixed_rule(self):
-        cfg = tiny_config(eta_rule="fixed", eta_value=2.5)
+        cfg = tiny_config(eta_rule={"fixed": 2.5})
         assert cfg.eta_n == 2.5
 
     @pytest.mark.parametrize("bad", [
         dict(n=1), dict(d=1), dict(trials=0), dict(replicates=0),
         dict(eta_rule="quadratic"), dict(eta_rule="fixed"),
-        dict(eta_rule="fixed", eta_value=0.0), dict(master_seed=-1),
+        dict(eta_rule={"fixed": 0.0}), dict(master_seed=-1),
         dict(master_seed=2**64), dict(mc_chisq=0), dict(scale=0.0), dict(c=-0.1),
         dict(mc_m_estimate=0),
     ])
@@ -93,13 +93,21 @@ class TestExperimentConfig:
             tiny_config(**bad)
 
     def test_from_dict_round_trip(self):
-        cfg = tiny_config(eta_rule="fixed", eta_value=1.5)
+        cfg = tiny_config(eta_rule={"fixed": 1.5})
         again = harness.config_from_dict(cfg.echo())
         assert again == cfg
+        # an integer rate is stored, and so echoed, as a float; json tells 2 from 2.0
+        rule = tiny_config(eta_rule={"fixed": 2}).echo()["eta_rule"]
+        assert json.dumps(rule) == '{"fixed": 2.0}'
+        for rule in ("log_n", {"fixed": 2}):
+            echo = tiny_config(eta_rule=rule).echo()
+            assert json.dumps(harness.config_from_dict(echo).echo()) == json.dumps(echo)
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(harness.ConfigError):
-            harness.config_from_dict({"n": 100, "dd": 5})
+        # the rate is one key, eta_rule: a separate eta_value is not a config key
+        for raw in ({"n": 100, "dd": 5}, {"eta_value": 2.5}):
+            with pytest.raises(harness.ConfigError, match="unknown config keys"):
+                harness.config_from_dict(raw)
 
     def test_from_dict_rejects_bad_eta_shape(self):
         with pytest.raises(harness.ConfigError):
