@@ -19,8 +19,8 @@ import signal
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# numpy comes in with harness, after harness.py is compiled, so its import reuses
+# the compiler's freed memory when no bytecode cache exists
 from . import harness, linalg, model, stats
 
 
@@ -81,7 +81,7 @@ def _cmd_reference(config, out: Path) -> int:
     vbar = res["vbar"]
     harness.write_cdf_csv(out / "reference_cdf.csv", res["cdf"])
     harness.write_summary_json(out / "reference_summary.json", config,
-                               trace_vbar=float(np.trace(vbar)),
+                               trace_vbar=float(vbar.trace()),
                                frob_vbar=linalg.frobenius_norm(vbar),
                                weights_top10=[float(x) for x in res["weights"].weights[:10]],
                                quantiles=res["quantiles"])

@@ -12,7 +12,9 @@ Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_ro
 normalizes once, at the end. Sampling moves blocks of up to 128 trials through
 chunks whose coordinates fill one buffer. Each 256-step chunk of the bootstrap's one
 dataset moves the replicates and v_hat (zero multipliers), so its memory is
-O((chunk + replicates) d), not O(n d).
+O((chunk + replicates) d), not O(n d). Verify sorts its one chi-square sample in
+place, and its Hoeffding checks compare integer numerators only; the
+CSV writers write _CSV_ROWS rows at a time, never a whole file's text.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ _SAMPLING_BLOCK = 128
 _SAMPLING_FLOATS = 160 * 1024
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
+_CSV_ROWS = 4096
 _SVG_WIDTH, _SVG_HEIGHT = 800, 600
 
 _SUMMARY_KEYS = ("config_echo", "ks", "trace_vbar", "frob_vbar",
@@ -234,13 +237,22 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _build_reference(config: ExperimentConfig, mdl, eta_n: float, n: int) -> np.ndarray:
+def _reference_law(config: ExperimentConfig) -> tuple:
+    """(vbar, its chi-square weights) for `run_reference` and `verify`. A law whose
+    weights are all zero (a rank-one covariance, or one that underflowed) is a
+    point mass at zero, which neither can use."""
+    mdl = config.spectral_model()
     mdl.require_gap()  # a degenerate gap is its own error
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return reference.build_reference(mdl, eta_n, n)
+            vbar = reference.build_reference(mdl, config.eta_n, config.n)
     except ValueError as exc:  # the inputs are valid: the moments overflowed
         raise config.out_of_range("the reference covariance") from exc
+    weights = reference.chisq_weights(vbar)
+    if weights.weights[0] == 0.0:  # sorted descending and clamped at zero
+        raise ConfigError("every chi-square weight is zero: the reference law is a point "
+                          "mass at zero, on which the chi-square checks are undefined")
+    return vbar, weights
 
 
 def run_reference(config: ExperimentConfig) -> dict:
@@ -249,8 +261,7 @@ def run_reference(config: ExperimentConfig) -> dict:
     The draws are on the scale of (n/eta_n) * sin2, the units the limit law
     is stated in.
     """
-    vbar = _build_reference(config, config.spectral_model(), config.eta_n, config.n)
-    weights = reference.chisq_weights(vbar)
+    vbar, weights = _reference_law(config)
     samples = reference.sample_weighted_chisq(weights, config.stream("mc", "chisq"),
                                               config.mc_chisq)
     cdf = stats.ecdf(samples)
@@ -269,7 +280,9 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
     """Both decomposition identities on eight (n, d, eta) cases, each case's data
     drawn before its multipliers. The subset terms can cancel by a factor of ~4e6,
     enough for float64 roundoff alone to cross the bound, and the products pass
-    1e308 from scale ~1e25: both are evaluated exactly, the ratio too."""
+    1e308 from scale ~1e25: both are evaluated exactly, as integer numerators, each
+    scaled by the other side's denominator (sigma's finer bits can make the sum's
+    larger, as at c = 30), and the ratio is one correctly rounded int division."""
     worst = {"hoeffding_exactness": 0.0, "bootstrap_hoeffding_exactness": 0.0}
     case = 0
     for n in (4, 6):
@@ -281,10 +294,12 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
                 w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
                 for name, args in (("hoeffding_exactness", {"sigma": mdl.sigma}),
                                    ("bootstrap_hoeffding_exactness", {"weights": w})):
-                    total, _ = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
-                    direct = hoeffding.direct_product(data, eta, args.get("weights"), exact=True)
-                    err = 0.0 if (total == direct).all() else math.sqrt(
-                        np.sum((total - direct) ** 2) / max(1, np.sum(direct ** 2)))
+                    total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
+                    direct, den_d = hoeffding.direct_product(data, eta, args.get("weights"),
+                                                             exact=True)
+                    t, d, den = total * den_d, direct * den_t, den_t * den_d
+                    err = 0.0 if (t == d).all() else math.sqrt(
+                        np.sum((t - d) ** 2) / max(den * den, np.sum(d ** 2)))
                     worst[name] = max(worst[name], err)
                 case += 1
     return [{"name": name, "value": err, "bound": 1e-10, "passed": bool(err <= 1e-10)}
@@ -363,43 +378,43 @@ def verify(config: ExperimentConfig) -> dict:
     two chi-square checks read one sample of `mc_chisq` draws from ("verify",
     "moments"): the law of `run_reference`'s weights scaled to unit weights, the
     scale the anti-concentration bound is stated at. The moment check's sigma
-    ratios are scale-free. The reference law's own sample is never drawn."""
-    vbar = _build_reference(config, config.spectral_model(), config.eta_n, config.n)
-    weights = reference.chisq_weights(vbar)
-    if weights.weights[0] == 0.0:  # sorted descending and clamped at zero
-        raise ConfigError("every chi-square weight is zero: the reference law is a point "
-                          "mass at zero, on which the chi-square checks are undefined")
-    unit = weights.unit()
+    ratios are scale-free. The reference law's own sample is never drawn, and
+    verify's is sorted in place for the anti-concentration check, never copied."""
+    unit = _reference_law(config)[1].unit()
     draws = reference.sample_weighted_chisq(unit, config.stream("verify", "moments"),
                                             config.mc_chisq)
-    checks = [
-        *_check_hoeffding(config),
-        _check_orthogonality(config),
-        _check_chisq_moments(draws, unit),
-        _check_anticoncentration(draws),
-        _check_covariance_rate(config),
-        _check_vbar_closed_form(config),
-    ]
+    checks = [*_check_hoeffding(config), _check_orthogonality(config),
+              _check_chisq_moments(draws, unit)]
+    draws.sort()  # in place, after the moment check: its sums run in draw order
+    checks += [_check_anticoncentration(draws), _check_covariance_rate(config),
+               _check_vbar_closed_form(config)]
     return {"checks": checks, "passed": bool(all(c["passed"] for c in checks))}
 
 
 # -- file output -------------------------------------------------------------
 
 def _cdf_rows(cdf: stats.EmpiricalCdf, prefix: str = ""):
-    """One "t,F" row per sample after `prefix`, the floats written through repr."""
+    """Rows "t,F" after `prefix`, the floats written through repr, _CSV_ROWS a string."""
     n = cdf.count
-    return (f"{prefix}{float(t)!r},{(i + 1) / n!r}" for i, t in enumerate(cdf.sorted_samples))
+    for lo in range(0, n, _CSV_ROWS):
+        chunk = cdf.sorted_samples[lo:lo + _CSV_ROWS].tolist()
+        yield "".join(f"{prefix}{t!r},{(i + 1) / n!r}\n" for i, t in enumerate(chunk, lo))
+
+
+def _write_csv(path, header: str, chunks) -> None:
+    """The header and the first chunk in one write, then each further chunk."""
+    with open(path, "w") as f:
+        f.write(header + next(chunks, ""))
+        f.writelines(chunks)
 
 
 def write_cdf_csv(path, cdf: stats.EmpiricalCdf) -> None:
-    Path(path).write_text("\n".join(["t,F", *_cdf_rows(cdf)]) + "\n")
+    _write_csv(path, "t,F\n", _cdf_rows(cdf))
 
 
 def write_pooled_csv(path, named_cdfs) -> None:
-    lines = ["curve,t,F"]
-    for name, cdf in named_cdfs:
-        lines.extend(_cdf_rows(cdf, f"{name},"))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "curve,t,F\n",
+               (rows for name, cdf in named_cdfs for rows in _cdf_rows(cdf, f"{name},")))
 
 
 def write_summary_json(path, config: ExperimentConfig, **fields) -> None:

@@ -22,15 +22,15 @@ the products overflow long before their inputs do, so `hoeffding_sum` and
 `direct_product` take exact=True. A float is a dyadic rational: each input's
 integer ratio is read once, and the factors (or the pairs) become integer
 matrices over one common denominator, a power of two times n. The products
-and sums run on those integers, and the one division at the end returns
-object arrays of Fractions, with no rounding at any scale. Only that division
-imports `fractions`, so a run that evaluates nothing exactly never loads it.
+and sums run on those integers and nothing is divided, so nothing rounds at
+any scale: exact=True appends that denominator to what the float path returns,
+whose matrices are then object arrays of Python integers, the numerators over
+it. `direct_product` returns (product, den), `hoeffding_sum` (total, terms, den).
 """
 
 from __future__ import annotations
 
 import itertools
-import numbers
 
 import numpy as np
 
@@ -64,12 +64,11 @@ def _dyadic(a):
     return np.array([p * (q // r) for p, r in ratios], dtype=object).reshape(np.shape(a)), q
 
 
-def _fractions(m: np.ndarray, den: int) -> np.ndarray:
-    from fractions import Fraction  # loads decimal too, so only exact evaluation imports it
-    # Fraction + float is a float, so a stray float would otherwise pass silently.
-    if not all(isinstance(v, numbers.Rational) for v in m.flat):
+def _integers(m: np.ndarray) -> np.ndarray:
+    # int + float is a float, so a stray float would otherwise pass silently
+    if not all(isinstance(v, int) for v in m.flat):
         raise TypeError("a float entered an exact evaluation")
-    return np.array([Fraction(v, den) for v in m.flat], dtype=object).reshape(m.shape)
+    return m
 
 
 def _prepare(data, eta_n: float, sigma, weights, exact: bool):
@@ -102,7 +101,7 @@ def _prepare(data, eta_n: float, sigma, weights, exact: bool):
 
 def direct_product(data, eta_n: float, weights=None, exact: bool = False) -> np.ndarray:
     """F_n ... F_1 with F_i = I + a X_i X_i^T, plus a W_i Delta_i for i >= 2 when
-    weights are given; zero rows give the identity."""
+    weights are given; zero rows give the identity. Exact: (numerators, den)."""
     rows, a, _, aw, eye, den = _prepare(data, eta_n, None, weights, exact)
     outer = [np.outer(x, x) for x in rows]
     factors = [eye + a * xx for xx in outer]
@@ -110,7 +109,7 @@ def direct_product(data, eta_n: float, weights=None, exact: bool = False) -> np.
         factors[1:] = [f + aw[i] * (outer[i] - outer[i - 1])
                        for i, f in enumerate(factors[1:], 1)]
     product, k = (ordered_product(factors), len(factors)) if factors else (eye, 1)
-    return product if den is None else _fractions(product, den ** k)
+    return product if den is None else (_integers(product), den ** k)
 
 
 def factor_pairs(data, eta_n: float, sigma=None, weights=None, exact: bool = False) -> list:
@@ -146,7 +145,8 @@ def _check_enumeration_size(n: int):
 
 def hoeffding_sum(data, eta_n: float, sigma=None, weights=None, exact: bool = False):
     """(sum of all H(S), [T_0, ..., T_m]) with T_k the order-k subset sum and m
-    the number of indices with an increment: n plain, n - 1 bootstrap."""
+    the number of indices with an increment: n plain, n - 1 bootstrap. Exact:
+    (total, terms, den), every matrix the numerators over den."""
     pairs = factor_pairs(data, eta_n, sigma, weights, exact)
     _check_enumeration_size(len(pairs))
     idx = [i for i, (_, b) in enumerate(pairs, 1) if b is not None]
@@ -157,8 +157,8 @@ def hoeffding_sum(data, eta_n: float, sigma=None, weights=None, exact: bool = Fa
     if not exact:
         return np.sum(terms, axis=0), terms
     # the pairs are integers over _prepare's denominator, so each term over its n-th power
-    scale = _prepare(data, eta_n, sigma, weights, exact)[-1] ** len(pairs)
-    return _fractions(np.sum(terms, axis=0), scale), [_fractions(t, scale) for t in terms]
+    den = _prepare(data, eta_n, sigma, weights, exact)[-1] ** len(pairs)
+    return np.sum([_integers(t) for t in terms], axis=0), terms, den
 
 
 def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:

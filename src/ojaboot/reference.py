@@ -12,8 +12,8 @@ plain d x d array (`build_reference`), and its spectrum is the weight vector
 of a `WeightedChiSq`. Only the chi-square draws are Monte Carlo; they stream
 through fixed row chunks, so their memory is O(chunk * d) rather than
 O(n_mc * d). The anti-concentration check is a statistic of such a sample,
-drawn from the law scaled to unit weights, so one sample can serve it and a
-moment check alike.
+drawn from the law scaled to unit weights and sorted in place, so one sample
+can serve it and a moment check alike.
 """
 
 from __future__ import annotations
@@ -172,20 +172,25 @@ def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
     return out
 
 
-def anticoncentration_check(draws, h: float) -> dict:
+def anticoncentration_check(sorted_draws, h: float) -> dict:
     """Empirically test the window-probability bound sqrt(4h/pi).
 
-    draws is a sample of a weighted chi-square law with unit weights
-    (WeightedChiSq.unit()), the scale the bound is stated at. The max window
+    sorted_draws is a sample, sorted ascending, of a weighted chi-square law with
+    unit weights (WeightedChiSq.unit()), the scale the bound is stated at; it is
+    read in place, and nothing of its size is allocated. The max window
     probability is taken over a uniform grid spanning the empirical
     [0.1%, 99.9%] quantile range, and passing allows a three-sigma Monte
     Carlo slack on top of the bound.
     """
     if h <= 0.0:
         raise ValueError("window width must be positive")
-    cdf = stats.EmpiricalCdf(draws)
-    s, n_mc = cdf.sorted_samples, cdf.count
-    grid = np.linspace(cdf.quantile(0.001), cdf.quantile(0.999), _GRID_POINTS)
+    s = np.asarray(sorted_draws, dtype=float)
+    # nan sorts last and -inf first, so finite ends mean a finite sample
+    if s.ndim != 1 or s.size == 0 or not np.isfinite(s[[0, -1]]).all():
+        raise ValueError("need a nonempty finite sorted sample")
+    n_mc = s.size
+    grid = np.linspace(stats.sorted_quantile(s, 0.001), stats.sorted_quantile(s, 0.999),
+                       _GRID_POINTS)
     counts = (np.searchsorted(s, grid + h, side="right")
               - np.searchsorted(s, grid, side="left"))
     max_prob = float(counts.max() / n_mc)

@@ -166,17 +166,21 @@ class TestExitCodes:
         by_name = {c["name"]: c["value"] for c in report["checks"]}
         assert by_name["hoeffding_exactness"] == by_name["bootstrap_hoeffding_exactness"] == 0.0
 
-    @pytest.mark.parametrize("raw", [{"c": 0, "d": 2}, {"beta": 1e6, "d": 4}],
-                             ids=["rank-one-kernel", "underflowing-scales"])
+    @pytest.mark.parametrize("raw", [
+        {"c": 0, "d": 2, "n": 200}, {"beta": 1e6, "d": 4, "n": 200},
+        # vbar, about eta_n * M, underflows to zero
+        {"eta_rule": {"fixed": 1e-320}}, {"scale": 1e-160, "d": 4, "n": 30},
+    ], ids=["rank-one-kernel", "underflowing-scales", "tiny-rate", "tiny-scale"])
     def test_rank_one_covariance_verify_is_config_error(self, tmp_path, capsys, raw):
-        # one nonzero eigenvalue: the moment matrix and every chi-square weight are zero
+        # one nonzero eigenvalue, or an underflow: every chi-square weight is zero, and
+        # reference and verify both refuse the point mass at zero
         p = tmp_path / "rank1.json"
-        p.write_text(json.dumps({**raw, "n": 200, "mc_chisq": 500,
-                                 "output_dir": str(tmp_path / "out")}))
-        assert cli.main(["reference", "--config", str(p)]) == 0
-        assert cli.main(["verify", "--config", str(p)]) == 2
-        err = capsys.readouterr().err
-        assert "config error:" in err and "point mass at zero" in err
+        p.write_text(json.dumps({**raw, "mc_chisq": 500, "output_dir": str(tmp_path / "out")}))
+        for command in ("reference", "verify"):
+            assert cli.main([command, "--config", str(p)]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and "point mass at zero" in err
+        assert not (tmp_path / "out" / "reference_cdf.csv").exists()
 
     @pytest.mark.parametrize("command", ["reference", "verify"])
     def test_overflowing_norms_stay_finite(self, tmp_path, command):
@@ -372,8 +376,9 @@ def run_module(args, cwd, code=None, **env_overrides):
 @pytest.mark.parametrize("commands, absent", [
     # numpy.median, union1d and unique import numpy.ma, a megabyte of memory
     ([["compare", "--threads", "2"], ["verify"]], ["numpy.ma"]),
-    # only verify evaluates exactly, and fractions loads decimal with it
-    ([["compare"], ["sampling"], ["bootstrap"], ["reference"]],
+    # verify evaluates exactly on integers, so no subcommand loads fractions (or
+    # the decimal it loads)
+    ([["compare"], ["sampling"], ["bootstrap"], ["reference"], ["verify"]],
      ["numpy.ma", "fractions", "decimal", "_decimal"]),
 ], ids=["compare-verify", "no-exact-evaluation"])
 def test_no_numpy_ma_import(config_path, tmp_path, commands, absent):
@@ -384,6 +389,22 @@ def test_no_numpy_ma_import(config_path, tmp_path, commands, absent):
     proc = run_module([], tmp_path, code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
+def test_harness_is_compiled_before_numpy_loads(tmp_path):
+    # without a bytecode cache, numpy's import then reuses the memory the compiler
+    # freed after harness.py, the largest module (about 0.25 MB of peak RSS)
+    code = ("import builtins, sys; real = builtins.__import__; first = []\n"
+            "def hook(name, *args, **kwargs):\n"
+            "    if name == 'numpy' and name not in sys.modules and not first:\n"
+            "        first.append(sorted(m for m in sys.modules if m.startswith('ojaboot')))\n"
+            "    return real(name, *args, **kwargs)\n"
+            "builtins.__import__ = hook\n"
+            "import ojaboot.cli\n"
+            "print(first[0])")
+    proc = run_module([], tmp_path, code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert "ojaboot.harness" in proc.stdout.splitlines()[-1]
 
 
 def test_module_entry_point(config_path, tmp_path):

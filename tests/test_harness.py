@@ -1,6 +1,7 @@
 """Experiment config, run orchestration, verification suite, and file writers."""
 
 import json
+import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -442,7 +443,7 @@ class TestVerify:
         unit = harness.run_reference(cfg)["weights"].unit()
         draws = reference.sample_weighted_chisq(
             unit, orig(cfg.master_seed, ("verify", "moments")), cfg.mc_chisq)
-        expected = reference.anticoncentration_check(draws, 0.01)
+        expected = reference.anticoncentration_check(np.sort(draws), 0.01)
         assert by_name["anticoncentration"]["value"] == expected["max_window_prob"]
         se_mean = np.sqrt(unit.variance / draws.size)
         m4 = np.mean((draws - draws.mean()) ** 4)
@@ -483,8 +484,71 @@ class TestVerify:
             checks = harness._check_hoeffding(harness.ExperimentConfig(scale=scale))
             assert [(c["value"], c["passed"]) for c in checks] == [(0.0, True)] * 2
 
+    def test_hoeffding_exactness_across_denominators(self):
+        # at c = 30 sigma has finer bits than the data of four of the eight cases
+        # (case 2 among them), so the plain sum's common denominator exceeds the
+        # direct product's; the identity still holds
+        cfg = harness.ExperimentConfig(c=30.0)
+        mdl = cfg.spectral_model(3)
+        data = model.sample_x(mdl, cfg.stream("verify", "hoeffding", 2), 4)
+        den_t = hoeffding.hoeffding_sum(data, 1.0, sigma=mdl.sigma, exact=True)[-1]
+        assert den_t != hoeffding.direct_product(data, 1.0, exact=True)[-1]
+        checks = harness._check_hoeffding(cfg)
+        assert [(c["value"], c["passed"]) for c in checks] == [(0.0, True)] * 2
+
+    def test_hoeffding_exactness_ratio_is_the_fraction_ratio(self, monkeypatch):
+        # with a sign error on every term after T_0, each check's value is the
+        # largest ratio formed from the same values as Fractions, correctly rounded
+        from fractions import Fraction
+
+        def fractions(m, den):
+            return np.array([Fraction(v, den) for v in m.flat], dtype=object)
+
+        orig = hoeffding.hoeffding_term
+        monkeypatch.setattr(hoeffding, "hoeffding_term",
+                            lambda pairs, s: -orig(pairs, s) if s else orig(pairs, s))
+        cfg = tiny_config()
+        worst = {"sigma": 0.0, "weights": 0.0}
+        case = 0
+        for n in (4, 6):
+            for d in (2, 3):
+                mdl = cfg.spectral_model(d)
+                for eta in (1.0, float(np.log(n))):
+                    st = cfg.stream("verify", "hoeffding", case)
+                    data = model.sample_x(mdl, st, n)
+                    w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
+                    for key, args in (("sigma", {"sigma": mdl.sigma}), ("weights", {"weights": w})):
+                        total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
+                        t = fractions(total, den_t)
+                        dd = fractions(*hoeffding.direct_product(data, eta, args.get("weights"),
+                                                                 exact=True))
+                        worst[key] = max(worst[key], math.sqrt(
+                            np.sum((t - dd) ** 2) / max(1, np.sum(dd ** 2))))
+                    case += 1
+        checks = harness._check_hoeffding(cfg)
+        assert [c["value"] for c in checks] == [worst["sigma"], worst["weights"]]
+        assert min(worst.values()) > 1e-10
+
 
 class TestWriters:
+    def test_cdf_csv_chunks_join_to_the_whole_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_CSV_ROWS", 3)
+        cdf = stats.ecdf(np.arange(7.0)[::-1] / 8)
+        harness.write_cdf_csv(tmp_path / "c.csv", cdf)
+        assert (tmp_path / "c.csv").read_text() == "".join(
+            ["t,F\n", *(f"{i / 8!r},{(i + 1) / 7!r}\n" for i in range(7))])
+        harness.write_pooled_csv(tmp_path / "p.csv", [("a", cdf), ("b", stats.ecdf([0.5]))])
+        assert (tmp_path / "p.csv").read_text() == "".join(
+            ["curve,t,F\n", *(f"a,{i / 8!r},{(i + 1) / 7!r}\n" for i in range(7)),
+             "b,0.5,1.0\n"])
+
+    def test_cdf_csv_never_holds_the_whole_text(self, tmp_path):
+        # 1e5 rows are about 2.7 MB of text; one chunk of 4096 rows about 0.1 MB
+        cdf = stats.ecdf(randgen.derive_stream(3, ("csv",)).uniform01(10**5))
+        peak = traced_peak_bytes(lambda: harness.write_cdf_csv(tmp_path / "c.csv", cdf))
+        assert (tmp_path / "c.csv").stat().st_size > 2 * 10**6
+        assert peak < 2**20
+
     def test_cdf_csv_exact_bytes(self, tmp_path):
         p = tmp_path / "c.csv"
         harness.write_cdf_csv(p, stats.ecdf([0.25, 0.5, 0.125]))

@@ -24,6 +24,13 @@ def rel_frob(a, b):
     return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
 
 
+def as_fractions(numerators, den):
+    """The exact path's integer numerators over den, entrywise as Fractions."""
+    assert all(isinstance(v, int) for v in numerators.flat)
+    return np.array([Fraction(v, den) for v in numerators.flat],
+                    dtype=object).reshape(numerators.shape)
+
+
 class TestDirectProduct:
     def test_empty_product_is_identity(self):
         np.testing.assert_array_equal(
@@ -112,9 +119,9 @@ class TestHoeffdingSum:
             sum_args, product_args = {"sigma": linalg.sym(rng.standard_normal((3, 3)))}, {}
         else:
             sum_args = product_args = {"weights": rng.standard_normal(n)}
-        total, _ = hoeffding.hoeffding_sum(data, np.log(n), **sum_args, exact=True)
-        b = hoeffding.direct_product(data, np.log(n), **product_args, exact=True)
-        assert all(isinstance(v, Fraction) for v in total.flat)
+        total, _, den_t = hoeffding.hoeffding_sum(data, np.log(n), **sum_args, exact=True)
+        b = as_fractions(*hoeffding.direct_product(data, np.log(n), **product_args, exact=True))
+        total = as_fractions(total, den_t)
         assert np.array_equal(total, b)
         np.testing.assert_allclose(b.astype(float),
                                    hoeffding.direct_product(data, np.log(n), **product_args),
@@ -183,10 +190,10 @@ class TestExactAgainstFractions:
                 else {"weights": stream.normal(0.0, 0.5, n)})
         eta = float(np.log(n + 1))
         direct, total = fraction_oracle(data, eta, **args)
-        got_total, terms = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
-        got_direct = hoeffding.direct_product(data, eta, args.get("weights"), exact=True)
-        assert all(isinstance(v, Fraction)
-                   for m in (got_total, got_direct, *terms) for v in m.flat)
+        got_total, terms, den = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
+        got_direct = as_fractions(*hoeffding.direct_product(data, eta, args.get("weights"),
+                                                            exact=True))
+        got_total, terms = as_fractions(got_total, den), [as_fractions(t, den) for t in terms]
         assert np.array_equal(got_direct, direct)
         assert np.array_equal(got_total, total)
         assert np.array_equal(np.sum(terms, axis=0), total)

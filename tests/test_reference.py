@@ -360,8 +360,9 @@ class TestImhofOracle:
 
 
 def unit_draws(weights, path, n_mc):
-    return reference.sample_weighted_chisq(reference.WeightedChiSq(weights).unit(),
-                                           randgen.derive_stream(5, path), n_mc)
+    """A sorted sample of the unit-scaled law, as anticoncentration_check reads it."""
+    return np.sort(reference.sample_weighted_chisq(reference.WeightedChiSq(weights).unit(),
+                                                   randgen.derive_stream(5, path), n_mc))
 
 
 class TestAnticoncentration:
@@ -395,6 +396,19 @@ class TestAnticoncentration:
         kept = draws.copy()
         reference.anticoncentration_check(draws, 0.01)
         np.testing.assert_array_equal(draws, kept)
+
+    def test_reads_the_sorted_sample_in_place(self):
+        # a sorted copy, or an isfinite mask of the whole sample, would be sample-sized
+        draws = unit_draws([1.0, 0.5], ("ac", 6), 10**5)
+        peak = traced_peak_bytes(lambda: reference.anticoncentration_check(draws, 0.01))
+        assert peak < 0.25 * draws.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sample_rejected(self, bad):
+        draws = unit_draws([1.0], ("ac", 7), 100)
+        draws[50] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reference.anticoncentration_check(np.sort(draws), 0.01)
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
