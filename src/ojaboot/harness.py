@@ -10,11 +10,12 @@ runners share no state, so the CLI may run two of them in separate processes
 
 Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_rows`
 normalizes once, at the end. Sampling moves blocks of up to 128 trials through
-chunks whose coordinates fill one buffer. Each 256-step chunk of the bootstrap's one
-dataset moves the replicates and v_hat (zero multipliers), so its memory is
-O((chunk + replicates) d), not O(n d). Verify sorts its one chi-square sample in
-place, and its Hoeffding checks compare integer numerators only; the
-CSV writers write _CSV_ROWS rows at a time, never a whole file's text.
+chunks whose coordinates fill one buffer, a fixed share per trial. Each 256-step
+chunk of the bootstrap's one dataset moves the replicates and v_hat (zero
+multipliers), so its memory is O((chunk + replicates) d), not O(n d). Verify sorts
+its one chi-square sample in place, and its Hoeffding checks compare integer
+numerators only; the CSV writers write _CSV_ROWS rows at a time, never a whole
+file's text.
 """
 
 from __future__ import annotations
@@ -33,15 +34,16 @@ from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stat
 # that start at multiples of 4 keep each row's rounding in the (2, d) @ (d, m) products
 # (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). A bootstrap
 # chunk draws its data rows once and one multiplier row per block row. A sampling chunk
-# takes one uniform draw per trial into one buffer of _SAMPLING_FLOATS coordinates
-# (1.25 MiB; 12 steps per draw at d = 100).
+# takes one uniform draw per trial into one buffer of _TRIAL_FLOATS coordinates per
+# trial of the first block (1.25 MiB and 12 steps per draw for 128 trials at d = 100,
+# 600 KiB and 64 steps for 60 trials at d = 20).
 # Its per-step (rows, d) @ (d, d) product rounds a row by where its block starts (at
 # d = 100, blocks of 64 or 100 trials move one by 9e-14), so _SAMPLING_BLOCK is part
 # of what defines the output.
 _BLOCK = 512
 _BOOTSTRAP_STEPS = 256
 _SAMPLING_BLOCK = 128
-_SAMPLING_FLOATS = 160 * 1024
+_TRIAL_FLOATS = 1280
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
 _CSV_ROWS = 4096
@@ -181,13 +183,13 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
-    buf = np.empty(max(_SAMPLING_FLOATS, min(config.trials, _SAMPLING_BLOCK) * config.d))
+    buf = np.empty(min(config.trials, _SAMPLING_BLOCK) * max(_TRIAL_FLOATS, config.d))
     blocks = []
     for first in range(0, config.trials, _SAMPLING_BLOCK):
         streams = [config.stream("trial", j)
                    for j in range(first, min(first + _SAMPLING_BLOCK, config.trials))]
         w = oja.start(u0, len(streams))
-        step = max(1, _SAMPLING_FLOATS // (len(streams) * config.d))
+        step = buf.size // (len(streams) * config.d)
         for lo in range(0, config.n, step):
             shape = (len(streams), min(step, config.n - lo), config.d)
             z = model.sample_paths(mdl, streams, buf[:math.prod(shape)].reshape(shape))
@@ -240,7 +242,8 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
 def _reference_law(config: ExperimentConfig) -> tuple:
     """(vbar, its chi-square weights) for `run_reference` and `verify`. A law whose
     weights are all zero (a rank-one covariance, or one that underflowed) is a
-    point mass at zero, which neither can use."""
+    point mass at zero, which neither can use; so is a subnormal vbar, whose
+    eigenvalues carry roundoff of their own size, negative ones too."""
     mdl = config.spectral_model()
     mdl.require_gap()  # a degenerate gap is its own error
     try:
@@ -248,10 +251,18 @@ def _reference_law(config: ExperimentConfig) -> tuple:
             vbar = reference.build_reference(mdl, config.eta_n, config.n)
     except ValueError as exc:  # the inputs are valid: the moments overflowed
         raise config.out_of_range("the reference covariance") from exc
-    weights = reference.chisq_weights(vbar)
+    point_mass = ("the reference law is a point mass at zero, on which the chi-square "
+                  "checks are undefined")
+    try:
+        weights = reference.chisq_weights(vbar)
+    except linalg.NotPsdError as exc:
+        largest = float(np.abs(vbar).max())
+        if largest >= np.finfo(float).tiny:
+            raise
+        raise ConfigError(f"the reference covariance underflows to subnormal entries "
+                          f"(largest {largest!r}): {point_mass}") from exc
     if weights.weights[0] == 0.0:  # sorted descending and clamped at zero
-        raise ConfigError("every chi-square weight is zero: the reference law is a point "
-                          "mass at zero, on which the chi-square checks are undefined")
+        raise ConfigError(f"every chi-square weight is zero: {point_mass}")
     return vbar, weights
 
 

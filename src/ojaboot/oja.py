@@ -67,10 +67,11 @@ def _rescale(w) -> None:
 def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     """The (m, d) block w (left unmodified) after one time chunk of samples x: (T, d)
     shared by all rows, or (m, T, d) coordinates z per row with a (d, d) root: row i
-    steps on z[i, t] @ root, formed a step at a time. mult is the rows' (m, T)
-    multipliers or None for plain Oja, and needs shared samples; prev is the sample
-    before the chunk, or None at the start of the pass, whose first step is plain Oja.
-    Each row comes back scaled by a power of two to a norm in [1/2, 1)."""
+    steps on z[i, t] @ root, formed a step at a time in one (m, d) slab per call. mult
+    is the rows' (m, T) multipliers or None for plain Oja, and needs shared samples;
+    prev is the sample before the chunk, or None at the start of the pass, whose first
+    step is plain Oja. Each row comes back scaled by a power of two to a norm in
+    [1/2, 1)."""
     w = np.array(w, dtype=float)
     x = np.asarray(x, dtype=float)
     shared = x.ndim == 2
@@ -106,9 +107,12 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
         bits[e < 1.0] = -np.log2(1.0 - e[e < 1.0])
     bits = bits.tolist()
 
-    slab = None if shared else np.empty_like(w)
-    # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W)), first a plain step's
-    coef, sign = np.repeat([[0.0], [eta]], m, axis=1), np.array([[-eta], [eta]])
+    if not shared:  # the step's slab of samples z_t @ root and its rows' dots, as views
+        slab, dots = np.empty_like(w), np.empty((m, 1, 1))
+        rows, cols, scale = w[:, None, :], slab[:, :, None], dots[:, 0]
+    elif mult is not None:
+        # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W)), first a plain step's
+        coef, sign = np.repeat([[0.0], [eta]], m, axis=1), np.array([[-eta], [eta]])
     moved = np.inf  # the input's norms are unknown: rescale before the first step
     # a step too large for any rescale leaves inf or nan, which unit_rows reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,10 +121,12 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
                 _rescale(w)
                 moved = 0.0
             moved += bits[t]
-            if not shared:  # vector dots w_i @ x_it, on the step's slab of samples
-                xt = np.matmul(x[:, t], root, out=slab)
-                xt *= eta * (w[:, None, :] @ xt[:, :, None])[:, 0]
-                w += xt
+            if not shared:  # w_i += (w_i @ x_it) eta x_it, with x_it = z_it @ root
+                np.matmul(x[:, t], root, out=slab)
+                np.matmul(rows, cols, out=dots)
+                scale *= eta
+                slab *= scale
+                w += slab
             elif mult is None:
                 w += eta * (w @ x[t])[:, None] * x[t]
             else:

@@ -170,10 +170,14 @@ class TestExitCodes:
         {"c": 0, "d": 2, "n": 200}, {"beta": 1e6, "d": 4, "n": 200},
         # vbar, about eta_n * M, underflows to zero
         {"eta_rule": {"fixed": 1e-320}}, {"scale": 1e-160, "d": 4, "n": 30},
-    ], ids=["rank-one-kernel", "underflowing-scales", "tiny-rate", "tiny-scale"])
+        # vbar underflows to subnormal entries, whose eigenvalues carry roundoff of
+        # their own size, some of it negative
+        {"eta_rule": {"fixed": 1e-320}, "n": 200},
+    ], ids=["rank-one-kernel", "underflowing-scales", "tiny-rate", "tiny-scale",
+            "subnormal-rate"])
     def test_rank_one_covariance_verify_is_config_error(self, tmp_path, capsys, raw):
-        # one nonzero eigenvalue, or an underflow: every chi-square weight is zero, and
-        # reference and verify both refuse the point mass at zero
+        # one nonzero eigenvalue, or an underflow: every chi-square weight is zero or
+        # subnormal, and reference and verify both refuse the point mass at zero
         p = tmp_path / "rank1.json"
         p.write_text(json.dumps({**raw, "mc_chisq": 500, "output_dir": str(tmp_path / "out")}))
         for command in ("reference", "verify"):

@@ -186,29 +186,37 @@ class TestSamplingExperiment:
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_float_budget_changes_no_sample(self, monkeypatch):
-        # 140 trials cross the block cap; budgets of one step, a few odd steps and the
-        # default must move no bit: rescales are powers of two, and each step's product
-        # by Sigma^(1/2) covers the same rows
-        cfg = tiny_config(n=131, d=20, trials=140)
-        default = harness.run_sampling_experiment(cfg)["samples"]
-        for budget in (1, 7 * 128 * 20):
-            monkeypatch.setattr(harness, "_SAMPLING_FLOATS", budget)
-            np.testing.assert_array_equal(harness.run_sampling_experiment(cfg)["samples"],
-                                          default)
+        # 140 trials cross the block cap, 60 fill a smaller buffer; per-trial shares of
+        # one step, a few odd steps and the default must move no bit: rescales are
+        # powers of two, and each step's product by Sigma^(1/2) covers the same rows
+        configs = [tiny_config(n=131, d=20, trials=trials) for trials in (140, 60)]
+        defaults = [harness.run_sampling_experiment(cfg)["samples"] for cfg in configs]
+        for share in (1, 7 * 20, 7 * 20 + 3):
+            monkeypatch.setattr(harness, "_TRIAL_FLOATS", share)
+            for cfg, default in zip(configs, defaults):
+                np.testing.assert_array_equal(harness.run_sampling_experiment(cfg)["samples"],
+                                              default)
 
     def test_memory_is_one_chunk_buffer(self, monkeypatch):
-        # the traced peak grows with the float budget by one buffer of coordinates, not
-        # by a second buffer of samples; at the default budget it is that buffer plus
+        # the traced peak grows with the per-trial share by one buffer of coordinates,
+        # not by a second buffer of samples; at the default share it is that buffer plus
         # about 1.2 MB for the model, the iterates and the streams
-        def peak(budget):
-            monkeypatch.setattr(harness, "_SAMPLING_FLOATS", budget)
+        def peak(share):
+            monkeypatch.setattr(harness, "_TRIAL_FLOATS", share)
             return traced_peak_bytes(lambda: harness.run_sampling_experiment(cfg))
 
         cfg = tiny_config(n=300, d=100, trials=300)
         harness.run_sampling_experiment(tiny_config())  # first use imports numpy.random
-        default = harness._SAMPLING_FLOATS
-        assert peak(default) < 8 * default + 2 * 2**20
-        assert peak(3 * default) - peak(default) < 1.5 * 8 * 2 * default
+        share = harness._TRIAL_FLOATS
+        default = harness._SAMPLING_BLOCK * share  # the buffer's floats
+        assert peak(share) < 8 * default + 2 * 2**20
+        assert peak(3 * share) - peak(share) < 1.5 * 8 * 2 * default
+
+    def test_buffer_shrinks_with_the_trial_count(self):
+        # 60 trials at d = 20 draw into 60 shares of coordinates, not 128
+        cfg = tiny_config(n=300, d=20, trials=60)
+        harness.run_sampling_experiment(tiny_config())  # first use imports numpy.random
+        assert traced_peak_bytes(lambda: harness.run_sampling_experiment(cfg)) < 2**20
 
     def test_u0_shared_with_bootstrap(self):
         cfg = tiny_config()

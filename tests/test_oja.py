@@ -213,6 +213,23 @@ class TestAdvance:
         with pytest.raises(ValueError, match="root"):
             oja.advance(block, z[0], eta, root=root)
 
+    def test_coordinates_step_bit_for_bit(self):
+        # norms in [1/2, 1) before and after, and a step too small to leave the window:
+        # no rescale, so each step is the one-line formula on the slab, every bit of it
+        rng = np.random.default_rng(4)
+        m, steps, d, eta = 7, 40, 20, 1e-3
+        root = rng.standard_normal((d, d)) / d
+        z = rng.standard_normal((m, steps, d))
+        block = 0.75 * oja.start(rng.standard_normal(d), m)
+        w = block.copy()
+        for t in range(steps):
+            xt = z[:, t] @ root
+            xt *= eta * (w[:, None, :] @ xt[:, :, None])[:, 0]
+            w += xt
+        norms = np.linalg.norm(w, axis=1)
+        assert np.all((norms >= 0.5) & (norms < 1.0)) and not np.array_equal(w, block)
+        np.testing.assert_array_equal(oja.advance(block, z, eta, root=root), w)
+
     def test_shrinking_multipliers_stay_finite(self):
         # W = -50 on samples alternating between e1 and e2 scales a row by 0.1 and then
         # 1.918 along each axis: 2.4 bits lost per two steps, 720 bits over the call,
