@@ -9,13 +9,13 @@ runners share no state, so the CLI may run two of them in separate processes
 (compare's sampling and bootstrap, under --threads >= 2) without a byte changing.
 
 Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_rows`
-normalizes once, at the end. Sampling moves blocks of up to 128 trials through
-chunks whose coordinates fill one buffer, a fixed share per trial. Each 256-step
-chunk of the bootstrap's one dataset moves the replicates and v_hat (zero
-multipliers), so its memory is O((chunk + replicates) d), not O(n d). Verify sorts
-its one chi-square sample in place, and its Hoeffding checks compare integer
-numerators only; the CSV writers write _CSV_ROWS rows at a time, never a whole
-file's text.
+normalizes once, at the end. Sampling moves blocks of up to 100 trials through
+chunks whose coordinates fill one buffer, a fixed share per trial. Each chunk of
+the bootstrap's one dataset (256 steps, 100 from d = 63) moves the replicates and
+v_hat (zero multipliers), so its memory is O((chunk + replicates) d), not O(n d).
+Verify sorts its one chi-square sample in place, and its Hoeffding checks compare
+integer numerators only; the CSV writers write _CSV_ROWS rows at a time, never a
+whole file's text.
 """
 
 from __future__ import annotations
@@ -35,14 +35,18 @@ from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stat
 # (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). A bootstrap
 # chunk draws its data rows once and one multiplier row per block row. A sampling chunk
 # takes one uniform draw per trial into one buffer of _TRIAL_FLOATS coordinates per
-# trial of the first block (1.25 MiB and 12 steps per draw for 128 trials at d = 100,
+# trial of the first block (1.0 MiB and 12 steps per draw for 100 trials at d = 100,
 # 600 KiB and 64 steps for 60 trials at d = 20).
-# Its per-step (rows, d) @ (d, d) product rounds a row by where its block starts (at
-# d = 100, blocks of 64 or 100 trials move one by 9e-14), so _SAMPLING_BLOCK is part
-# of what defines the output.
+# Both compare loops multiply (rows, d) @ (d, d) blocks by Sigma^(1/2), which OpenBLAS
+# 0.3.31 does on its small-matrix dgemm path while rows * d * d <= _SMALL_GEMM: at
+# d = 100 a row costs about 28 % less at 100 rows than at 101 to 128. The path also
+# sets a row's rounding: at d = 100, up to 100 rows round as they do alone, and from
+# 101 rows up as in the 128-row product, so _SAMPLING_BLOCK and bootstrap_steps are
+# part of what defines the output.
 _BLOCK = 512
+_SMALL_GEMM = 10**6
 _BOOTSTRAP_STEPS = 256
-_SAMPLING_BLOCK = 128
+_SAMPLING_BLOCK = 100
 _TRIAL_FLOATS = 1280
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
@@ -158,6 +162,12 @@ def load_config(path=None, seed=None, out=None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def bootstrap_steps(d: int) -> int:
+    """Steps per bootstrap data chunk: 256, or 100 where a 256-row chunk at d would
+    leave the small-matrix path (d >= 63)."""
+    return _BOOTSTRAP_STEPS if _BOOTSTRAP_STEPS * d * d <= _SMALL_GEMM else _SAMPLING_BLOCK
+
+
 def draw_u0(config: ExperimentConfig) -> np.ndarray:
     return oja.normalize(config.stream("u0").normal(0.0, 1.0, config.d))
 
@@ -219,9 +229,9 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
     streams = [config.stream("w", i) for i in range(config.replicates)]
     rows = config.replicates + 1  # v_hat is the last row, with zero multipliers
     blocks = [oja.start(u0, min(_BLOCK, rows - first)) for first in range(0, rows, _BLOCK)]
-    prev = None
-    for lo in range(0, config.n, _BOOTSTRAP_STEPS):
-        hi = min(lo + _BOOTSTRAP_STEPS, config.n)
+    prev, step = None, bootstrap_steps(config.d)
+    for lo in range(0, config.n, step):
+        hi = min(lo + step, config.n)
         x = model.sample_x(mdl, data, hi - lo)
         blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(
                       streams[k * _BLOCK:][:len(w)], lo, hi, len(w)), prev)

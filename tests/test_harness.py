@@ -44,7 +44,7 @@ def one_call_rows(cfg):
     every replicate, then v_hat with zero multipliers."""
     mdl = cfg.spectral_model()
     stream = cfg.stream("data", 0)
-    step = harness._BOOTSTRAP_STEPS
+    step = harness.bootstrap_steps(cfg.d)
     data = np.vstack([model.sample_x(mdl, stream, min(step, cfg.n - lo))
                       for lo in range(0, cfg.n, step)])
     rows = cfg.replicates + 1
@@ -175,7 +175,7 @@ class TestSamplingExperiment:
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_trials_above_the_block_cap(self):
-        # 600 = 4 x 128 + 88 trials: five sampling blocks, the last one short
+        # 600 = 6 x 100 trials: six sampling blocks (140 trials end on a short one)
         cfg = tiny_config(n=100, d=3, trials=600)
         res = harness.run_sampling_experiment(cfg)
         mdl = cfg.spectral_model()
@@ -213,10 +213,20 @@ class TestSamplingExperiment:
         assert peak(3 * share) - peak(share) < 1.5 * 8 * 2 * default
 
     def test_buffer_shrinks_with_the_trial_count(self):
-        # 60 trials at d = 20 draw into 60 shares of coordinates, not 128
+        # 60 trials at d = 20 draw into 60 shares of coordinates, not 100
         cfg = tiny_config(n=300, d=20, trials=60)
         harness.run_sampling_experiment(tiny_config())  # first use imports numpy.random
         assert traced_peak_bytes(lambda: harness.run_sampling_experiment(cfg)) < 2**20
+
+    def test_a_trial_depends_only_on_its_block(self):
+        # d = 100: the first block holds 100 trials whether 100 or 150 are run, and a
+        # block of up to 100 rows multiplies by Sigma^(1/2) on one rounding path. The
+        # large rate carries a product's last bit into the samples (128-row blocks
+        # move 5 of these 100)
+        first = [harness.run_sampling_experiment(tiny_config(
+                     n=40, d=100, trials=trials, eta_rule={"fixed": 40.0}))["samples"][:100]
+                 for trials in (100, 150)]
+        np.testing.assert_array_equal(first[1], first[0])
 
     def test_u0_shared_with_bootstrap(self):
         cfg = tiny_config()
@@ -305,7 +315,7 @@ class TestBootstrapExperiment:
         res = harness.run_bootstrap_experiment(cfg)
         mdl = cfg.spectral_model()
         stream = cfg.stream("data", 0)
-        step = harness._BOOTSTRAP_STEPS
+        step = harness.bootstrap_steps(cfg.d)
         data = np.vstack([model.sample_x(mdl, stream, min(step, cfg.n - lo))
                           for lo in range(0, cfg.n, step)])
         v_hat = oja.run(data, cfg.n, cfg.eta_n, harness.draw_u0(cfg))
@@ -330,6 +340,13 @@ class TestBootstrapExperiment:
         np.testing.assert_array_equal(res["v_hat"], rows[-1])
         np.testing.assert_array_equal(res["errors"],
                                       np.clip(1.0 - (rows[:-1] @ rows[-1]) ** 2, 0.0, 1.0))
+
+    def test_memory_at_figure_d(self):
+        # d = 100 and 300 replicates: 100-step chunks hold (301, 100) multipliers and
+        # (100, 100) data rows, where 256-step chunks would peak above 2 MiB
+        harness.run_bootstrap_experiment(tiny_config())  # first use imports numpy.random
+        cfg = tiny_config(n=300, d=100, replicates=300)
+        assert traced_peak_bytes(lambda: harness.run_bootstrap_experiment(cfg)) < 2 * 2**20
 
     def test_memory_does_not_grow_with_n(self):
         # the (8000, 100) dataset alone would hold 6.1 MiB
