@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for config
 problems, among them a model whose top eigengap is too small for the reference
-law (argparse also exits 2 on malformed flags, which matches).
+law and an output file that cannot be written (argparse also exits 2 on
+malformed flags, which matches).
 
 `compare` runs two independent experiments. With `--threads` >= 2 (where the
 platform has `os.fork`) the bootstrap runs in a forked child while this process
@@ -140,7 +141,7 @@ def _cmd_compare(config, out: Path, threads: int) -> int:
     ks = stats.kolmogorov_distance(boot["cdf"], sampling["cdf"])
     named = [("bootstrap", boot["cdf"]), ("sampling", sampling["cdf"])]
     harness.write_pooled_csv(out / "compare_cdf.csv", named)
-    (out / "compare.svg").write_text(harness.render_cdf_svg(named))
+    harness.write_text(out / "compare.svg", harness.render_cdf_svg(named))
     harness.write_summary_json(out / "compare_summary.json", config,
                                ks=ks, quantiles=boot["quantiles"])
     return 0

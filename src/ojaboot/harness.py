@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -62,7 +63,9 @@ class ConfigError(ValueError):
 
 
 def _require_finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # an exact comparison: an int past the largest float has no float
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -87,8 +90,9 @@ class ExperimentConfig:
         for f in fields(self):  # the annotations are strings, from __future__
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, (int, np.integer))):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                                    or not isinstance(value, (int, np.integer))
+                                    or f.name != "master_seed" and not -2**63 <= value < 2**63):
+                raise ConfigError(f"{f.name} must be a 64-bit integer, got {value!r}")
             if f.type == "float":
                 _require_finite(f.name, value)
             if f.type == "str" and not isinstance(value, str):
@@ -422,19 +426,23 @@ def _cdf_rows(cdf: stats.EmpiricalCdf, prefix: str = ""):
         yield "".join(f"{prefix}{t!r},{(i + 1) / n!r}\n" for i, t in enumerate(chunk, lo))
 
 
-def _write_csv(path, header: str, chunks) -> None:
-    """The header and the first chunk in one write, then each further chunk."""
-    with open(path, "w") as f:
-        f.write(header + next(chunks, ""))
-        f.writelines(chunks)
+def write_text(path, first: str, rest=()) -> None:
+    """first, then rest's strings (the first of them in first's write) to path."""
+    rest = iter(rest)
+    try:
+        with open(path, "w") as f:
+            f.write(first + next(rest, ""))
+            f.writelines(rest)
+    except OSError as exc:  # a file that cannot be written is a config error
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_cdf_csv(path, cdf: stats.EmpiricalCdf) -> None:
-    _write_csv(path, "t,F\n", _cdf_rows(cdf))
+    write_text(path, "t,F\n", _cdf_rows(cdf))
 
 
 def write_pooled_csv(path, named_cdfs) -> None:
-    _write_csv(path, "curve,t,F\n",
+    write_text(path, "curve,t,F\n",
                (rows for name, cdf in named_cdfs for rows in _cdf_rows(cdf, f"{name},")))
 
 
@@ -448,7 +456,7 @@ def write_summary_json(path, config: ExperimentConfig, **fields) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"a summary value is out of the floating-point range: {exc}") from exc
-    Path(path).write_text(text + "\n")
+    write_text(path, text + "\n")
 
 
 def _svg_steps(cdf: stats.EmpiricalCdf):

@@ -4,7 +4,8 @@ Three covariance families are supported: the exponential-kernel family with
 power-decay scales (sigma_ij = exp(-|i-j| c) * s_i s_j, s_i = scale * i^-beta
 with 1-based i), explicitly supplied symmetric matrices, and finite discrete
 laws given by mean-zero support points with probabilities. Discrete laws exist
-so that expectations can be computed exactly by outcome enumeration.
+so that expectations can be computed exactly by outcome enumeration; they are
+enumerated, never sampled.
 
 Continuous samples are X = Sigma^{1/2} Z with Z having iid Uniform(-sqrt 3,
 sqrt 3) coordinates (mean zero, identity second moment), so E[X X^T] = Sigma.
@@ -144,13 +145,9 @@ def spectral_decompose(spec: CovarianceSpec) -> SpectralModel:
 
 
 def sample_x(model: SpectralModel, stream: RngStream, size: int) -> np.ndarray:
-    """Draw a (size, d) matrix of rows from the model's law."""
-    law = model.sampling_law
-    if isinstance(law, DiscreteSpec):
-        cum = np.cumsum(law.probs)
-        idx = np.minimum(np.searchsorted(cum, stream.uniform01(size), side="right"),
-                         law.probs.size - 1)
-        return law.support[idx]
+    """Draw a (size, d) matrix of rows from the model's continuous law."""
+    if isinstance(model.sampling_law, DiscreteSpec):
+        raise ValueError("sample_x draws continuous laws; a discrete one is enumerated")
     return stream.uniform_sym((size, model.dim)) @ model.sqrt_sigma
 
 
@@ -161,7 +158,7 @@ def sample_paths(model: SpectralModel, streams, out: np.ndarray):
     sample_x(model, streams[i], T) returns, up to the rounding of that product.
     `oja.advance` forms the product one step at a time."""
     if isinstance(model.sampling_law, DiscreteSpec):
-        raise ValueError("sample_paths draws continuous laws; use sample_x for a discrete one")
+        raise ValueError("sample_paths draws continuous laws; a discrete one is enumerated")
     if (out.ndim != 3 or out.shape[0] != len(streams) or out.shape[2] != model.dim
             or not out.flags.c_contiguous):
         raise ValueError(f"a buffer of shape {out.shape} is not a C-contiguous (m, T, d) "

@@ -12,15 +12,13 @@ leave [2^-256, 2^256] (the raw product grows like (1 + eta_n lambda1 / n)^n).
 `unit_rows` divides by the norm once, at the end of a pass. The default rate rule is
 eta_n = log n, overridable everywhere.
 
-`advance` moves a block of iterates through a chunk of shared samples, or of per-row
-coordinates z, each step's z_t Sigma^{1/2} formed just in time. A `bootstrap` multiplier
-step is two products: [p; x_t] @ w^T gives both dots and, scaled in place by the rows'
-(-eta W, eta (1 + W)), its transpose adds both outer products; W = 0 steps plain.
+`advance` has the runners' two modes: per-row coordinates z with a root (sampling),
+each step's z_t Sigma^{1/2} formed just in time, and shared samples with multipliers
+(the bootstrap, whose v_hat is a row of zeros): [p; x_t] @ w^T gives both dots and,
+scaled in place by the rows' (-eta W, eta (1 + W)), its transpose adds both outer products.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -65,13 +63,13 @@ def _rescale(w) -> None:
 
 
 def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
-    """The (m, d) block w (left unmodified) after one time chunk of samples x: (T, d)
-    shared by all rows, or (m, T, d) coordinates z per row with a (d, d) root: row i
-    steps on z[i, t] @ root, formed a step at a time in one (m, d) slab per call. mult
-    is the rows' (m, T) multipliers or None for plain Oja, and needs shared samples;
-    prev is the sample before the chunk, or None at the start of the pass, whose first
-    step is plain Oja. Each row comes back scaled by a power of two to a norm in
-    [1/2, 1)."""
+    """The (m, d) block w (left unmodified) after one time chunk of samples x, given
+    exactly one of mult and root. Either x is (T, d), shared by all rows, with the
+    rows' (m, T) multipliers mult (a zero row steps plain Oja) and prev, the sample
+    before the chunk, or None at the start of the pass, whose first step is plain Oja;
+    or x is (m, T, d) coordinates z per row with a (d, d) root: row i steps plain Oja
+    on z[i, t] @ root, formed a step at a time in one (m, d) slab per call. Each row
+    comes back scaled by a power of two to a norm in [1/2, 1)."""
     w = np.array(w, dtype=float)
     x = np.asarray(x, dtype=float)
     shared = x.ndim == 2
@@ -83,24 +81,24 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     prev = None if prev is None else np.asarray(prev, dtype=float)
     if mult is not None and mult.shape != (m, steps):
         raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
-    if mult is not None and not shared or shared != (root is None):
-        raise ValueError("multipliers need samples shared by all rows, a root per-row ones")
+    if shared != (mult is not None) or shared != (root is None):
+        raise ValueError("shared samples need multipliers, per-row ones a root; never both")
 
     # Step t applies I + E_t with ||E_t|| <= e_t: it moves a row's norm by at most
-    # -log2(1 - e_t) bits, any amount once e_t >= 1, and as a plain step with eta > 0
+    # -log2(1 - e_t) bits, any amount once e_t >= 1, and as a per-row step with eta > 0
     # only grows it, by at most log2(1 + e_t) bits. The bootstrap step has E = eta
     # ((1 + W) x x^T - W p p^T); ||z_t @ root|| <= ||z_t|| max_i sum_j |root_ij|.
     xx = (x[..., None, :] @ x[..., None])[..., 0, 0]  # squared norms, no buffer of x's size
     if not shared:
         xx = xx.max(axis=0) * np.abs(root).sum(axis=1).max() ** 2
     e = abs(eta) * xx
-    if mult is not None and steps:
+    if shared and steps:
         wmax = np.maximum(mult.max(axis=0), -mult.min(axis=0))  # no (m, T) temporary
         pp = np.concatenate(([0.0 if prev is None else prev @ prev], xx[:-1]))
         if prev is None:
             wmax[0] = 0.0  # the first step is plain Oja and reads no multiplier
         e += abs(eta) * wmax * (xx + pp)
-    if eta > 0.0 and mult is None:
+    if eta > 0.0 and not shared:
         bits = np.log2(1.0 + e)
     else:
         bits = np.full(steps, np.inf)
@@ -110,7 +108,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     if not shared:  # the step's slab of samples z_t @ root and its rows' dots, as views
         slab, dots = np.empty_like(w), np.empty((m, 1, 1))
         rows, cols, scale = w[:, None, :], slab[:, :, None], dots[:, 0]
-    elif mult is not None:
+    else:
         # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W)), first a plain step's
         coef, sign = np.repeat([[0.0], [eta]], m, axis=1), np.array([[-eta], [eta]])
     moved = np.inf  # the input's norms are unknown: rescale before the first step
@@ -127,8 +125,6 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
                 scale *= eta
                 slab *= scale
                 w += slab
-            elif mult is None:
-                w += eta * (w @ x[t])[:, None] * x[t]
             else:
                 pair = x[t - 1:t + 1] if t else np.stack((x[0] if prev is None else prev, x[0]))
                 if t or prev is not None:
@@ -139,20 +135,6 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
                 w += dots.T @ pair
         _rescale(w)
     return w
-
-
-def run(source, n: int, eta_n: float, u0) -> np.ndarray:
-    """Consume the first n samples of `source`: an array's rows or any iterable's, lazily."""
-    w = normalize(u0)
-    if n == 0:
-        return w
-    rows = source[:n] if isinstance(source, np.ndarray) else list(itertools.islice(source, n))
-    if len(rows) < n:
-        raise ValueError(f"source has {len(rows)} rows, need {n}")
-    for i, row in enumerate(rows):
-        if np.shape(row) != w.shape:
-            raise ValueError(f"row {i} has dimension {np.shape(row)}, u0 has dimension {w.size}")
-    return unit_rows(advance(w[None, :], np.asarray(rows, dtype=float), eta_n / n))[0]
 
 
 def sin2(u, v) -> float:

@@ -15,12 +15,21 @@ def scalar_update(v, x_t, prev_x, eta, w):
 
 
 def replicate_errors(data, u0, m, eta_n, streams):
-    """(v_hat, sin^2 of each replicate against v_hat) from one shared pass."""
+    """(v_hat, sin^2 of each replicate against v_hat) from one shared pass, v_hat
+    being one more row, of zero multipliers."""
     n = data.shape[0]
-    reps = oja.unit_rows(oja.advance(oja.start(u0, m), data, eta_n / n,
-                                     bootstrap.draw_multipliers(streams, 0, n)))
-    v_hat = oja.run(data, n=n, eta_n=eta_n, u0=u0)
+    rows = oja.unit_rows(oja.advance(oja.start(u0, m + 1), data, eta_n / n,
+                                     bootstrap.draw_multipliers(streams, 0, n, m + 1)))
+    reps, v_hat = rows[:-1], rows[-1]
     return v_hat, np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
+
+
+def plain_pass(data, eta, u0):
+    """Plain Oja over the rows of data at step size eta, through advance's other mode:
+    per-row coordinates with the identity root."""
+    data = np.asarray(data, dtype=float)
+    w = oja.advance(oja.start(u0, 1), data[None], eta, root=np.eye(data.shape[1]))
+    return oja.unit_rows(w)[0]
 
 
 def small_model(d=4, seed=0):
@@ -60,7 +69,7 @@ class TestEnsembleStep:
         # no previous sample: the first column of multipliers is never read
         block = oja.unit_rows(oja.advance(oja.start(u0, 2), [[1.0, 1.0]], 0.5,
                                           mult=np.full((2, 1), np.nan)))
-        w = oja.run(np.array([[1.0, 1.0]]), n=1, eta_n=0.5, u0=u0)
+        w = plain_pass([[1.0, 1.0]], 0.5, u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
         # and the stream's first draw belongs to the second step
@@ -74,7 +83,7 @@ class TestEnsembleStep:
         u0 = rng.standard_normal(3)
         data = rng.standard_normal((4, 3))
         block = oja.unit_rows(oja.advance(oja.start(u0, 3), data, 2.0 / 4, mult=np.zeros((3, 4))))
-        w = oja.run(data, n=4, eta_n=2.0, u0=u0)
+        w = plain_pass(data, 2.0 / 4, u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
 
@@ -85,7 +94,7 @@ class TestEnsembleStep:
         mult = np.array([[3.7, 3.7], [-1.2, -1.2]])
         block = oja.unit_rows(oja.advance(oja.start(u0, 2), [x, x], 1.5 / 3, mult=mult))
         # two plain steps at eta = 1.5 / 3
-        w = oja.run(np.array([x, x]), n=2, eta_n=1.0, u0=u0)
+        w = plain_pass([x, x], 1.5 / 3, u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-14)
 

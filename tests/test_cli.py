@@ -80,6 +80,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error:" in err and "eigengap" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 10**400), ("c", 10**400), ("eta_rule", {"fixed": 10**400}),
+        ("n", 10**22), ("mc_chisq", 10**30), ("d", 10**30),
+    ], ids=["scale", "c", "eta_rule", "n", "mc_chisq", "d"])
+    def test_integer_past_the_machine_range_is_config_error(self, config_path, capsys,
+                                                            field, value):
+        # JSON integer literals: the float fields' have no float, the int fields' do
+        # not fit in 64 bits; the message names the field
+        raw = json.loads(config_path.read_text())
+        raw[field] = value
+        config_path.write_text(json.dumps(raw))
+        assert cli.main(["reference", "--config", str(config_path)]) == 2
+        name = "eta_rule.fixed" if field == "eta_rule" else field
+        assert capsys.readouterr().err.startswith(f"config error: {name} ")
+
+    @pytest.mark.parametrize("command, name", [("sampling", "sampling_cdf.csv"),
+                                               ("verify", "verify_report.json")])
+    def test_output_file_that_cannot_be_written_is_config_error(self, config_path, capsys,
+                                                                tmp_path, command, name):
+        # a directory in the file's place; verify's exit 1 would say a check failed
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert cli.main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {tmp_path / 'out' / name}: " in err
+
     def test_negative_seed_is_config_error(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path), "--seed", "-4"]) == 2
 

@@ -30,6 +30,24 @@ def scalar_draw_replicates(data, u0, eta, streams):
     return r
 
 
+def normalized_loop(data, u0, eta):
+    """Plain Oja one step at a time, divided by the norm after every step: the
+    reference for v_hat."""
+    v = oja.normalize(u0)
+    for x in data:
+        v = v + eta * (v @ x) * x
+        v /= np.linalg.norm(v)
+    return v
+
+
+def one_trial_error(cfg, mdl, u0, j):
+    """sin^2 of trial j from a one-row call of advance's per-row mode on the whole of
+    that trial's coordinates: the reference for the sampling runner's blocks and chunks."""
+    z = cfg.stream("trial", j).uniform_sym((1, cfg.n, cfg.d))
+    w = oja.advance(oja.start(u0, 1), z, cfg.eta_n / cfg.n, root=mdl.sqrt_sigma)
+    return oja.sin2(oja.unit_rows(w)[0], mdl.v1)
+
+
 def whole_ensemble_errors(data, u0, eta, streams, v_hat):
     """Errors of one unchunked oja.advance call over the whole ensemble, fed one
     scalar multiplier draw per replicate and step from t = 2."""
@@ -169,9 +187,7 @@ class TestSamplingExperiment:
         res = harness.run_sampling_experiment(cfg)
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
-        per_trial = [oja.sin2(oja.run(model.sample_x(mdl, cfg.stream("trial", j), cfg.n),
-                                      cfg.n, cfg.eta_n, u0), mdl.v1)
-                     for j in range(70)]
+        per_trial = [one_trial_error(cfg, mdl, u0, j) for j in range(70)]
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_trials_above_the_block_cap(self):
@@ -180,9 +196,7 @@ class TestSamplingExperiment:
         res = harness.run_sampling_experiment(cfg)
         mdl = cfg.spectral_model()
         u0 = harness.draw_u0(cfg)
-        per_trial = [oja.sin2(oja.run(model.sample_x(mdl, cfg.stream("trial", j), cfg.n),
-                                      cfg.n, cfg.eta_n, u0), mdl.v1)
-                     for j in range(600)]
+        per_trial = [one_trial_error(cfg, mdl, u0, j) for j in range(600)]
         np.testing.assert_allclose(res["samples"], per_trial, rtol=1e-12, atol=0.0)
 
     def test_float_budget_changes_no_sample(self, monkeypatch):
@@ -253,7 +267,7 @@ class TestBootstrapExperiment:
         data = model.sample_x(mdl, cfg.stream("data", 0), cfg.n)
         reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
                                       [cfg.stream("w", i) for i in range(5)])
-        v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
+        v_hat = normalized_loop(data, u0, cfg.eta_n / cfg.n)
         errors = np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
         np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
         np.testing.assert_allclose(res["v_hat"], v_hat, atol=1e-15)
@@ -270,7 +284,7 @@ class TestBootstrapExperiment:
         # one unsharded ensemble over all 70 replicates
         reps = scalar_draw_replicates(data, u0, cfg.eta_n / cfg.n,
                                       [cfg.stream("w", i) for i in range(70)])
-        v_hat = oja.run(data, cfg.n, cfg.eta_n, u0)
+        v_hat = normalized_loop(data, u0, cfg.eta_n / cfg.n)
         errors = np.clip(1.0 - (reps @ v_hat) ** 2, 0.0, 1.0)
         np.testing.assert_allclose(res["errors"], errors, atol=1e-15)
 
@@ -309,27 +323,16 @@ class TestBootstrapExperiment:
                                    np.clip(1.0 - (reps @ res["v_hat"]) ** 2, 0.0, 1.0),
                                    atol=1e-15)
 
-    def test_v_hat_is_one_pass_over_the_chunked_data(self):
-        # n = 600 crosses two chunk ends and is not a multiple of the chunk
-        cfg = tiny_config(n=600, d=5, replicates=3)
-        res = harness.run_bootstrap_experiment(cfg)
-        mdl = cfg.spectral_model()
-        stream = cfg.stream("data", 0)
-        step = harness.bootstrap_steps(cfg.d)
-        data = np.vstack([model.sample_x(mdl, stream, min(step, cfg.n - lo))
-                          for lo in range(0, cfg.n, step)])
-        v_hat = oja.run(data, cfg.n, cfg.eta_n, harness.draw_u0(cfg))
-        np.testing.assert_array_equal(res["v_hat"], v_hat)
-
-    def test_v_hat_is_the_zero_multiplier_row(self):
-        # d = 20: the row's dot products come from a matrix product, not from run's
-        # matrix-vector product, so run is matched to rounding only
-        cfg = tiny_config(n=600, d=20, replicates=3)
+    @pytest.mark.parametrize("d", [5, 20])
+    def test_v_hat_is_the_zero_multiplier_row(self, d):
+        # n = 600 crosses two chunk ends and is not a multiple of the chunk; the
+        # per-step normalized loop matches to rounding only
+        cfg = tiny_config(n=600, d=d, replicates=3)
         res = harness.run_bootstrap_experiment(cfg)
         data, rows = one_call_rows(cfg)
         np.testing.assert_array_equal(res["v_hat"], rows[-1])
-        np.testing.assert_allclose(res["v_hat"], oja.run(data, cfg.n, cfg.eta_n,
-                                                         harness.draw_u0(cfg)), rtol=1e-12)
+        np.testing.assert_allclose(res["v_hat"], normalized_loop(data, harness.draw_u0(cfg),
+                                                                 cfg.eta_n / cfg.n), rtol=1e-12)
 
     def test_blocks_split_at_the_cap_move_no_bit(self):
         # d = 100, 520 replicates and v_hat: blocks of 512 and 9 rows against one

@@ -101,16 +101,12 @@ class TestSampleX:
         se = prods.std(axis=0) / math.sqrt(xs.shape[0])
         assert np.all(np.abs(emp - m.sigma) <= np.maximum(0.05, 5.0 * se))
 
-    def test_discrete_draws_live_on_support(self):
-        spec = rademacher_e1()
-        m = model.spectral_decompose(spec)
+    def test_rejects_discrete_laws(self):
+        # a discrete law is enumerated, never sampled: no draw of the wrong law
+        m = model.spectral_decompose(rademacher_e1())
         np.testing.assert_allclose(m.sigma, np.diag([1.0, 0.0]), atol=1e-15)
-        s = randgen.derive_stream(3, ("disc",))
-        xs = model.sample_x(m, s, size=5000)
-        assert np.all(np.abs(xs[:, 0]) == 1.0)
-        assert np.all(xs[:, 1] == 0.0)
-        # both signs occur
-        assert 0 < np.sum(xs[:, 0] > 0) < 5000
+        with pytest.raises(ValueError, match="discrete"):
+            model.sample_x(m, randgen.derive_stream(3, ("disc",)), size=5000)
 
 
 class TestSamplePaths:

@@ -1,9 +1,18 @@
-"""Oja iteration contracts: normalization, the update rule, and sin^2."""
+"""Oja iteration contracts: normalization, the update rule, the kernel's two modes,
+and sin^2."""
 
 import numpy as np
 import pytest
 
 from ojaboot import hoeffding, model, oja, randgen
+
+
+def zero_row(data, eta, u0):
+    """Plain Oja over data at step size eta as the bootstrap computes v_hat: one row of
+    zero multipliers, normalized at the end."""
+    data = np.asarray(data, dtype=float)
+    mult = np.zeros((1, data.shape[0]))
+    return oja.unit_rows(oja.advance(oja.start(u0, 1), data, eta, mult))[0]
 
 
 class TestInit:
@@ -17,7 +26,7 @@ class TestInit:
         with pytest.raises(ValueError):
             oja.normalize([0.0, 0.0])
         with pytest.raises(ValueError):
-            oja.run(np.ones((1, 2)), n=1, eta_n=1.0, u0=[0.0, 0.0])
+            oja.start([0.0, 0.0], 1)
 
     def test_u0_from_stream_reproducible(self):
         g1 = randgen.derive_stream(11, ("u0",)).normal(0.0, 1.0, 6)
@@ -26,18 +35,18 @@ class TestInit:
 
 
 class TestStep:
-    # one-sample runs: n = 1, so eta_n is the step size eta itself
+    # one-sample passes at step size 0.5
     def test_aligned_sample_keeps_direction(self):
-        w = oja.run(np.array([[1.0, 0.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
+        w = zero_row([[1.0, 0.0]], 0.5, [1.0, 0.0])
         np.testing.assert_allclose(w, [1.0, 0.0])
 
     def test_orthogonal_sample_is_noop(self):
-        w = oja.run(np.array([[0.0, 1.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
+        w = zero_row([[0.0, 1.0]], 0.5, [1.0, 0.0])
         np.testing.assert_allclose(w, [1.0, 0.0])
 
     def test_hand_evaluated_update(self):
         # eta = 0.5, w = e1, x = (1,1): unnormalized (1.5, 0.5)
-        w = oja.run(np.array([[1.0, 1.0]]), n=1, eta_n=0.5, u0=[1.0, 0.0])
+        w = zero_row([[1.0, 1.0]], 0.5, [1.0, 0.0])
         expected = np.array([1.5, 0.5]) / np.sqrt(2.5)
         np.testing.assert_allclose(w, expected, atol=1e-15)
         np.testing.assert_allclose(w, [0.9487, 0.3162], atol=5e-5)
@@ -48,37 +57,31 @@ class TestStep:
         u0 = rng.standard_normal(5)
         data = rng.standard_normal((100, 5))
         for k in range(1, 101):
-            w = oja.run(data[:k], n=k, eta_n=0.03 * k, u0=u0)
+            w = zero_row(data[:k], 0.03, u0)
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-
-    def test_horizon_and_dim_errors(self):
-        with pytest.raises(ValueError, match="need 2"):
-            oja.run(np.array([[0.5, 0.5]]), n=2, eta_n=1.0, u0=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            oja.run(np.array([[1.0, 0.0, 0.0]]), n=1, eta_n=1.0, u0=[1.0, 0.0])
 
 
 class TestRun:
     def test_empty_run_returns_normalized_u0(self):
-        w = oja.run(np.zeros((0, 3)), n=0, eta_n=1.0, u0=[2.0, 0.0, 0.0])
+        w = zero_row(np.zeros((0, 3)), 1.0, [2.0, 0.0, 0.0])
         np.testing.assert_allclose(w, [1.0, 0.0, 0.0])
 
     def test_matches_matrix_product_small(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((3, 3))
         u0 = rng.standard_normal(3)
-        w = oja.run(data, n=3, eta_n=1.7, u0=u0)
+        w = zero_row(data, 1.7 / 3, u0)
         b = hoeffding.direct_product(data, eta_n=1.7)
         ref = b @ (u0 / np.linalg.norm(u0))
         ref /= np.linalg.norm(ref)
         assert abs(w @ ref) >= 1.0 - 1e-10
 
     def test_matches_matrix_product_longer(self):
-        # per-step normalization only rescales: same direction as the raw product
+        # power-of-two rescaling only rescales: same direction as the raw product
         rng = np.random.default_rng(5)
         data = rng.standard_normal((50, 4))
         u0 = rng.standard_normal(4)
-        w = oja.run(data, n=50, eta_n=2.0, u0=u0)
+        w = zero_row(data, 2.0 / 50, u0)
         b = hoeffding.direct_product(data, eta_n=2.0)
         ref = b @ u0
         ref /= np.linalg.norm(ref)
@@ -88,44 +91,11 @@ class TestRun:
         d, n, eta_n = 4, 60, 30.0
         u0 = np.array([0.5, 0.6, -0.4, 0.2])
         data = np.tile(np.eye(d)[0], (n, 1))
-        w = oja.run(data, n=n, eta_n=eta_n, u0=u0)
+        w = zero_row(data, eta_n / n, u0)
         eta = eta_n / n
         tan2_0 = (np.sum(u0**2) - u0[0] ** 2) / u0[0] ** 2
         bound = tan2_0 * (1.0 + eta) ** (-2 * n)
         assert oja.sin2(w, np.eye(d)[0]) <= bound + 1e-15
-
-    def test_accepts_iterables(self):
-        data = [np.array([1.0, 0.2]), np.array([-0.3, 1.0])]
-        w_arr = oja.run(np.array(data), n=2, eta_n=1.0, u0=[1.0, 1.0])
-        w_it = oja.run(iter(data), n=2, eta_n=1.0, u0=[1.0, 1.0])
-        np.testing.assert_array_equal(w_arr, w_it)
-
-    def test_reads_no_row_past_n(self):
-        def rows():
-            yield from ([1.0, 0.5], [1.0, 0.5])
-            raise AssertionError("run asked for row n + 1")
-
-        w = oja.run(rows(), n=2, eta_n=1.0, u0=[1.0, 0.0])
-        np.testing.assert_array_equal(w, oja.run(np.array([[1.0, 0.5]] * 3), n=2, eta_n=1.0,
-                                                 u0=[1.0, 0.0]))
-        np.testing.assert_allclose(w, [0.962, 0.273], atol=5e-4)
-
-    def test_short_source_rejected(self):
-        with pytest.raises(ValueError):
-            oja.run(np.zeros((2, 2)), n=3, eta_n=1.0, u0=[1.0, 0.0])
-
-    def test_accepts_plain_lists(self):
-        rows = [[1.0, 0.2], [-0.3, 1.0]]
-        w_list = oja.run(rows, n=2, eta_n=1.0, u0=[1.0, 1.0])
-        w_arr = oja.run(np.array(rows), n=2, eta_n=1.0, u0=[1.0, 1.0])
-        np.testing.assert_array_equal(w_list, w_arr)
-
-    def test_dimension_mismatch_names_the_row(self):
-        rows = [[1.0, 0.2], [-0.3, 1.0, 0.5]]
-        with pytest.raises(ValueError, match=r"row 1 has dimension \(3,\), u0 has dimension 2"):
-            oja.run(rows, n=2, eta_n=1.0, u0=[1.0, 1.0])
-        with pytest.raises(ValueError, match=r"row 0 has dimension \(3,\), u0 has dimension 2"):
-            oja.run(np.ones((2, 3)), n=2, eta_n=1.0, u0=[1.0, 1.0])
 
 
 def normalized_loop(w, x, eta, mult=None, prev=None):
@@ -148,33 +118,28 @@ def normalized_loop(w, x, eta, mult=None, prev=None):
 
 
 class TestAdvance:
-    def test_run_is_the_one_row_call(self):
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal((40, 5))
-        u0 = rng.standard_normal(5)
-        w = oja.unit_rows(oja.advance(oja.start(u0, 1), data, 1.3 / 40))
-        np.testing.assert_array_equal(w[0], oja.run(data, n=40, eta_n=1.3, u0=u0))
-
     def test_rows_repeat_run_on_their_own_samples(self):
+        # each row of the block is the one-row call on that row's coordinates
         rng = np.random.default_rng(9)
         data = rng.standard_normal((6, 50, 4))
         u0 = rng.standard_normal(4)
         w = oja.unit_rows(oja.advance(oja.start(u0, 6), data, 2.0 / 50, root=np.eye(4)))
         for row, x in zip(w, data):
-            np.testing.assert_array_equal(row, oja.run(x, n=50, eta_n=2.0, u0=u0))
+            alone = oja.advance(oja.start(u0, 1), x[None], 2.0 / 50, root=np.eye(4))
+            np.testing.assert_array_equal(row, oja.unit_rows(alone)[0])
 
     @pytest.mark.parametrize("with_multipliers", [False, True])
     def test_chunk_boundaries_are_invisible(self, with_multipliers):
         # 131 samples in chunks of 7 (the last one short) against one chunk
         rng = np.random.default_rng(10)
         data = rng.standard_normal((131, 3))
-        mult = rng.standard_normal((5, 131)) if with_multipliers else None
+        mult = rng.standard_normal((5, 131)) if with_multipliers else np.zeros((5, 131))
         block = oja.start(rng.standard_normal(3), 5)
         whole = oja.advance(block, data, 0.02, mult)
         for lo in range(0, 131, 7):
             hi = min(lo + 7, 131)
             block = oja.advance(block, data[lo:hi], 0.02,
-                                None if mult is None else mult[:, lo:hi],
+                                mult[:, lo:hi],
                                 data[lo - 1] if lo else None)
         np.testing.assert_array_equal(block, whole)
 
@@ -189,6 +154,8 @@ class TestAdvance:
         gain = 10.0 ** rng.uniform(3.0, 9.0, shape[:-1])
         x *= np.sqrt(gain / (eta * np.einsum("...d,...d->...", x, x)))[..., None]
         mult = rng.normal(0.0, 0.7, (m, steps)) if case == "multipliers" else None
+        if case == "shared":  # plain Oja on rows of zero multipliers, as v_hat steps
+            mult = np.zeros((m, steps))
         block = oja.start(rng.standard_normal(d), m)
         w = oja.advance(block, x, eta, mult, root=np.eye(d) if case == "per_row" else None)
         assert np.all(np.isfinite(w))
@@ -257,6 +224,8 @@ class TestAdvance:
             oja.advance(block, np.ones((3, 4, 2)), 0.1, mult=np.zeros((3, 4)))
         with pytest.raises(ValueError, match="root"):
             oja.advance(block, np.ones((3, 4, 2)), 0.1)
+        with pytest.raises(ValueError, match="shared samples need multipliers"):
+            oja.advance(block, np.ones((4, 2)), 0.1)
 
     def test_unit_rows_rejects_rows_that_left_the_finite_range(self):
         np.testing.assert_array_equal(oja.unit_rows([[0.0, 0.5], [3.0, 4.0]]),
@@ -311,11 +280,10 @@ class TestErrorScaling:
         u0 = randgen.derive_stream(21, ("u0",)).normal(0.0, 1.0, 10)
         means = {}
         for n in (500, 2000):
-            errs = []
-            for trial in range(200):
-                s = randgen.derive_stream(21, ("trial", n, trial))
-                xs = model.sample_x(m, s, size=n)
-                w = oja.run(xs, n=n, eta_n=np.log(n), u0=u0)
-                errs.append(oja.sin2(w, m.v1))
-            means[n] = np.mean(errs)
+            # each trial's coordinates, the uniform draws sample_x would make
+            z = np.stack([randgen.derive_stream(21, ("trial", n, trial)).uniform_sym((n, 10))
+                          for trial in range(200)])
+            w = oja.unit_rows(oja.advance(oja.start(u0, 200), z, np.log(n) / n,
+                                          root=m.sqrt_sigma))
+            means[n] = np.mean([oja.sin2(row, m.v1) for row in w])
         assert means[500] / means[2000] >= 2.0

@@ -41,12 +41,12 @@ def traced_peak_bytes(fn):
         tracemalloc.stop()
 
 
-def monte_carlo_M(mdl, stream, n_mc, rows=10**4):
-    """Sample mean of (x . v1)^2 (P x)(P x)^T over n_mc rows of model.sample_x,
-    drawn `rows` at a time, with the entrywise standard error of that mean."""
+def monte_carlo_M(mdl, draw, n_mc, rows=10**4):
+    """Sample mean of (x . v1)^2 (P x)(P x)^T over n_mc rows of draw(size), drawn
+    `rows` at a time, with the entrywise standard error of that mean."""
     total = total_sq = 0.0
     for first in range(0, n_mc, rows):
-        x = model.sample_x(mdl, stream, min(rows, n_mc - first))
+        x = draw(min(rows, n_mc - first))
         s = x @ mdl.v1
         y = x @ mdl.v_perp
         terms = (s * s)[:, None, None] * (y[:, :, None] * y[:, None, :])
@@ -77,8 +77,11 @@ class TestEstimateM:
 
     def test_discrete_matches_monte_carlo(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
-        mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        mean, se = monte_carlo_M(mdl, randgen.derive_stream(8, ("m3",)), 10**5)
+        law = model.DiscreteSpec(sup, np.full(3, 1 / 3))
+        mdl = model.spectral_decompose(law)
+        rng = np.random.default_rng(8)  # sample_x draws continuous laws only
+        mean, se = monte_carlo_M(
+            mdl, lambda size: law.support[rng.choice(3, size=size, p=law.probs)], 10**5)
         assert np.all(np.abs(mean - reference.estimate_M(mdl)) <= 5 * np.maximum(se, 1e-12))
 
     @pytest.mark.parametrize("spec", [
@@ -87,7 +90,8 @@ class TestEstimateM:
     ], ids=["kernel", "explicit"])
     def test_closed_form_matches_monte_carlo(self, spec):
         mdl = model.spectral_decompose(spec)
-        mean, se = monte_carlo_M(mdl, randgen.derive_stream(9, ("m4",)), 10**5)
+        stream = randgen.derive_stream(9, ("m4",))
+        mean, se = monte_carlo_M(mdl, lambda size: model.sample_x(mdl, stream, size), 10**5)
         closed = reference.estimate_M(mdl)
         assert np.all(np.abs(mean - closed) <= 5 * se)
         # the draws also resolve the (kappa - 3) term: the Gaussian-law moment
