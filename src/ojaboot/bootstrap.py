@@ -6,9 +6,9 @@ sample p, replicate v moves by
     v <- v + eta * (h + W (h - g)),  h = (x.v) x,  g = (p.v) p,
 
 with W ~ N(0, 1/2) drawn per (replicate, step) from that replicate's own
-stream, so the values do not depend on how replicates are grouped. The very
-first step has no previous sample; every replicate takes the plain Oja step
-there and the multiplier starts at t = 2. The update itself is the kernel
+stream, so the values do not depend on how replicates are grouped. The first
+sample stands in for its missing predecessor, so every replicate takes the plain
+Oja step there and the multiplier starts at t = 2. The update itself is the kernel
 `oja.advance`; this module draws its multipliers chunk by chunk (zero rows step plain).
 
 The update is linear in v: it applies I + eta (x x^T + W (x x^T - p p^T)), so

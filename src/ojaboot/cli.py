@@ -55,7 +55,7 @@ def _out_dir(config: harness.ExperimentConfig) -> Path:
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise harness.ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 

@@ -10,9 +10,9 @@ runners share no state, so the CLI may run two of them in separate processes
 
 Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_rows`
 normalizes once, at the end. Sampling moves blocks of up to 100 trials through
-chunks whose coordinates fill one buffer, a fixed share per trial. Each chunk of
-the bootstrap's one dataset (256 steps, 100 from d = 63) moves the replicates and
-v_hat (zero multipliers), so its memory is O((chunk + replicates) d), not O(n d).
+chunks whose coordinates fill one buffer, a fixed share per trial. Bootstrap blocks
+of up to 512 rows (replicates, then v_hat with zero multipliers) each stream the one
+dataset afresh in chunks of 256 steps (100 from d = 63), holding only their own streams.
 Verify sorts its one chi-square sample in place, and its Hoeffding checks compare
 integer numerators only; the CSV writers write _CSV_ROWS rows at a time, never a
 whole file's text.
@@ -33,11 +33,11 @@ from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stat
 
 # The row caps bound temporaries and draw calls at very large counts. Bootstrap blocks
 # that start at multiples of 4 keep each row's rounding in the (2, d) @ (d, m) products
-# (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). A bootstrap
-# chunk draws its data rows once and one multiplier row per block row. A sampling chunk
-# takes one uniform draw per trial into one buffer of _TRIAL_FLOATS coordinates per
-# trial of the first block (1.0 MiB and 12 steps per draw for 100 trials at d = 100,
-# 600 KiB and 64 steps for 60 trials at d = 20).
+# (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). Each bootstrap
+# block draws the whole dataset (again past _BLOCK - 1 replicates) and per chunk one
+# multiplier row per block row. A sampling chunk takes one uniform draw per trial into one
+# buffer of _TRIAL_FLOATS coordinates per trial of the first block (1.0 MiB and 12 steps
+# per draw for 100 trials at d = 100, 600 KiB and 64 steps for 60 trials at d = 20).
 # Both compare loops multiply (rows, d) @ (d, d) blocks by Sigma^(1/2), which OpenBLAS
 # 0.3.31 does on its small-matrix dgemm path while rows * d * d <= _SMALL_GEMM: at
 # d = 100 a row costs about 28 % less at 100 rows than at 101 to 128. The path also
@@ -223,24 +223,24 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
 
 
 def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
-    """One dataset streamed from ("data", 0), m multiplier-perturbed replicate chains
-    drawing from their own ("w", i) streams, and their errors vs the unperturbed
-    estimate v_hat, the row after the replicates."""
+    """One dataset, drawn afresh from ("data", 0) by each block of rows: m multiplier-
+    perturbed replicate chains drawing from their own ("w", i) streams, and their
+    errors vs the unperturbed estimate v_hat, the row after the replicates."""
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
-    data = config.stream("data", 0)
-    streams = [config.stream("w", i) for i in range(config.replicates)]
-    rows = config.replicates + 1  # v_hat is the last row, with zero multipliers
-    blocks = [oja.start(u0, min(_BLOCK, rows - first)) for first in range(0, rows, _BLOCK)]
-    prev, step = None, bootstrap_steps(config.d)
-    for lo in range(0, config.n, step):
-        hi = min(lo + step, config.n)
-        x = model.sample_x(mdl, data, hi - lo)
-        blocks = [oja.advance(w, x, eta, bootstrap.draw_multipliers(
-                      streams[k * _BLOCK:][:len(w)], lo, hi, len(w)), prev)
-                  for k, w in enumerate(blocks)]
-        prev = x[-1]
+    rows, step = config.replicates + 1, bootstrap_steps(config.d)  # v_hat: the last row
+    blocks = []
+    for first in range(0, rows, _BLOCK):
+        streams = [config.stream("w", i) for i in range(first, min(first + _BLOCK, rows - 1))]
+        w = oja.start(u0, min(_BLOCK, rows - first))
+        data, prev = config.stream("data", 0), None
+        for lo in range(0, config.n, step):
+            x = model.sample_x(mdl, data, min(step, config.n - lo))
+            mult = bootstrap.draw_multipliers(streams, lo, lo + len(x), len(w))
+            w, prev = oja.advance(w, x, eta, mult, prev), x[-1]
+        blocks.append(w)
+        del streams  # before the next block's are made
     unit = _unit_rows(np.vstack(blocks), config)
     errors = np.clip(1.0 - (unit[:-1] @ unit[-1]) ** 2, 0.0, 1.0)
     cdf = stats.ecdf(errors)
@@ -280,6 +280,13 @@ def _reference_law(config: ExperimentConfig) -> tuple:
     return vbar, weights
 
 
+def _chisq_sample(config: ExperimentConfig, weights, *path) -> np.ndarray:
+    try:  # numpy refuses a count past its array size with a ValueError
+        return reference.sample_weighted_chisq(weights, config.stream(*path), config.mc_chisq)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"mc_chisq = {config.mc_chisq} draws do not fit in memory") from exc
+
+
 def run_reference(config: ExperimentConfig) -> dict:
     """Assemble the reference covariance and sample its weighted chi-square law.
 
@@ -287,8 +294,7 @@ def run_reference(config: ExperimentConfig) -> dict:
     is stated in.
     """
     vbar, weights = _reference_law(config)
-    samples = reference.sample_weighted_chisq(weights, config.stream("mc", "chisq"),
-                                              config.mc_chisq)
+    samples = _chisq_sample(config, weights, "mc", "chisq")
     cdf = stats.ecdf(samples)
     return {
         "vbar": vbar,
@@ -316,7 +322,7 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
             for eta in (1.0, float(np.log(n))):
                 st = config.stream("verify", "hoeffding", case)
                 data = model.sample_x(mdl, st, n)
-                w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
+                w = np.concatenate([[0.0], st.normal(0.0, bootstrap.W_VARIANCE, n - 1)])
                 for name, args in (("hoeffding_exactness", {"sigma": mdl.sigma}),
                                    ("bootstrap_hoeffding_exactness", {"weights": w})):
                     total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
@@ -406,8 +412,7 @@ def verify(config: ExperimentConfig) -> dict:
     ratios are scale-free. The reference law's own sample is never drawn, and
     verify's is sorted in place for the anti-concentration check, never copied."""
     unit = _reference_law(config)[1].unit()
-    draws = reference.sample_weighted_chisq(unit, config.stream("verify", "moments"),
-                                            config.mc_chisq)
+    draws = _chisq_sample(config, unit, "verify", "moments")
     checks = [*_check_hoeffding(config), _check_orthogonality(config),
               _check_chisq_moments(draws, unit)]
     draws.sort()  # in place, after the moment check: its sums run in draw order

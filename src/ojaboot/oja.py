@@ -66,7 +66,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     """The (m, d) block w (left unmodified) after one time chunk of samples x, given
     exactly one of mult and root. Either x is (T, d), shared by all rows, with the
     rows' (m, T) multipliers mult (a zero row steps plain Oja) and prev, the sample
-    before the chunk, or None at the start of the pass, whose first step is plain Oja;
+    before the chunk (None at the start of the pass: x[0] stands in, so step 0 is plain);
     or x is (m, T, d) coordinates z per row with a (d, d) root: row i steps plain Oja
     on z[i, t] @ root, formed a step at a time in one (m, d) slab per call. Each row
     comes back scaled by a power of two to a norm in [1/2, 1)."""
@@ -78,7 +78,6 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
         raise ValueError(f"samples of shape {x.shape} do not fit a block of shape {w.shape}")
     m, steps = w.shape[0], x.shape[-2]
     mult = None if mult is None else np.asarray(mult, dtype=float)
-    prev = None if prev is None else np.asarray(prev, dtype=float)
     if mult is not None and mult.shape != (m, steps):
         raise ValueError(f"multipliers of shape {mult.shape}, expected {(m, steps)}")
     if shared != (mult is not None) or shared != (root is None):
@@ -94,9 +93,7 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
     e = abs(eta) * xx
     if shared and steps:
         wmax = np.maximum(mult.max(axis=0), -mult.min(axis=0))  # no (m, T) temporary
-        pp = np.concatenate(([0.0 if prev is None else prev @ prev], xx[:-1]))
-        if prev is None:
-            wmax[0] = 0.0  # the first step is plain Oja and reads no multiplier
+        pp = np.concatenate(([xx[0] if prev is None else np.dot(prev, prev)], xx[:-1]))
         e += abs(eta) * wmax * (xx + pp)
     if eta > 0.0 and not shared:
         bits = np.log2(1.0 + e)
@@ -109,8 +106,8 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
         slab, dots = np.empty_like(w), np.empty((m, 1, 1))
         rows, cols, scale = w[:, None, :], slab[:, :, None], dots[:, 0]
     else:
-        # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W)), first a plain step's
-        coef, sign = np.repeat([[0.0], [eta]], m, axis=1), np.array([[-eta], [eta]])
+        # a multiplier step's (2, m) coefficients (-eta W, eta (1 + W))
+        coef, sign = np.empty((2, m)), np.array([[-eta], [eta]])
     moved = np.inf  # the input's norms are unknown: rescale before the first step
     # a step too large for any rescale leaves inf or nan, which unit_rows reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,9 +124,8 @@ def advance(w, x, eta: float, mult=None, prev=None, root=None) -> np.ndarray:
                 w += slab
             else:
                 pair = x[t - 1:t + 1] if t else np.stack((x[0] if prev is None else prev, x[0]))
-                if t or prev is not None:
-                    np.multiply(sign, mult[:, t], out=coef)
-                    coef[1] += eta
+                np.multiply(sign, mult[:, t], out=coef)
+                coef[1] += eta
                 dots = pair @ w.T
                 dots *= coef
                 w += dots.T @ pair

@@ -164,8 +164,6 @@ def sample_weighted_chisq(w: WeightedChiSq, stream, n_mc: int) -> np.ndarray:
         raise ValueError("need n_mc >= 1")
     pos = w.weights[w.weights > _WEIGHT_FLOOR_RTOL * w.weights[0]]
     out = np.zeros(n_mc)
-    if pos.size == 0:
-        return out
     for first in range(0, n_mc, _MC_ROWS):
         last = min(first + _MC_ROWS, n_mc)
         np.matmul(stream.chisq1((last - first, pos.size)), pos, out=out[first:last])

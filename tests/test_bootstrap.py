@@ -66,9 +66,10 @@ class TestEnsembleStep:
     # the multiplier update of oja.advance on shared data
     def test_first_step_is_plain_oja_and_draws_nothing(self):
         u0 = np.array([1.0, 0.0])
-        # no previous sample: the first column of multipliers is never read
+        # no previous sample: x_1 stands in for it, so any first multiplier meets a
+        # zero increment
         block = oja.unit_rows(oja.advance(oja.start(u0, 2), [[1.0, 1.0]], 0.5,
-                                          mult=np.full((2, 1), np.nan)))
+                                          mult=np.array([[3.7], [-1.2]])))
         w = plain_pass([[1.0, 1.0]], 0.5, u0)
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
@@ -134,7 +135,7 @@ class TestEnsembleStep:
         u0 = rng.standard_normal(3)
         x0, x1 = rng.standard_normal(3), rng.standard_normal(3)
         ws = [0.8, -0.3]
-        mult = np.array([[np.nan, ws[0]], [np.nan, ws[1]]])
+        mult = np.array([[3.7, ws[0]], [-1.2, ws[1]]])
         block = oja.unit_rows(oja.advance(oja.start(u0, 2), [x0, x1], 0.6, mult=mult))
         v_prev = oja.normalize(oja.normalize(u0) + 0.6 * (oja.normalize(u0) @ x0) * x0)
         for i, w in enumerate(ws):
@@ -238,7 +239,7 @@ class TestRunBootstrap:
         wseq = rng.standard_normal(n)
         u0 = oja.normalize(rng.standard_normal(d))
         eta_n = 1.4
-        # the first column is never read: step 1 has no previous sample
+        # the first column meets a zero increment: x_1 stands in for its predecessor
         rep = oja.unit_rows(oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :]))
         weights = np.concatenate([[0.0], wseq[1:]])
         b = hoeffding.direct_product(data, eta_n, weights=weights)

@@ -121,6 +121,28 @@ class TestExitCodes:
         assert cli.main(args) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
+    def test_output_dir_with_a_nul_byte_is_config_error(self, config_path, capsys):
+        # Path.mkdir raises ValueError, not OSError; verify's exit 1 would say a check failed
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**raw, "output_dir": "a\x00b"}))
+        assert cli.main(["verify", "--config", str(config_path)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_out_with_a_nul_byte_is_config_error(self, config_path, capsys):
+        assert cli.main(["sampling", "--config", str(config_path), "--out", "a\x00b"]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reference", "verify"])
+    def test_chisq_sample_past_the_array_size_is_config_error(self, config_path, capsys,
+                                                              command):
+        # numpy refuses 2**62 float64 values before it allocates anything
+        raw = json.loads(config_path.read_text())
+        raw["mc_chisq"] = 2**62
+        config_path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: mc_chisq = {2**62} draws do not "
+                                           "fit in memory\n")
+
     @pytest.mark.parametrize("args, rate", [
         (["sampling"], 1e300), (["bootstrap"], 1e300), (["compare", "--threads", "2"], 1e300),
         # n / eta_n, the scale of sampling's scaled errors, overflows

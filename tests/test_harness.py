@@ -351,6 +351,13 @@ class TestBootstrapExperiment:
         cfg = tiny_config(n=300, d=100, replicates=300)
         assert traced_peak_bytes(lambda: harness.run_bootstrap_experiment(cfg)) < 2 * 2**20
 
+    def test_streams_live_one_block_at_a_time(self):
+        # 6,000 replicates in 12 blocks: a stream per replicate held at once would
+        # peak near 8 MiB
+        harness.run_bootstrap_experiment(tiny_config())  # first use imports numpy.random
+        cfg = tiny_config(n=40, d=5, replicates=6000)
+        assert traced_peak_bytes(lambda: harness.run_bootstrap_experiment(cfg)) < 2 * 2**20
+
     def test_memory_does_not_grow_with_n(self):
         # the (8000, 100) dataset alone would hold 6.1 MiB
         cfg = tiny_config(n=8000, d=100, replicates=4)
