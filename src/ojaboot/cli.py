@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for config
 problems, among them a model whose top eigengap is too small for the reference
-law and an output file that cannot be written (argparse also exits 2 on
-malformed flags, which matches).
+law, a d whose covariance does not fit in memory and an output file that cannot
+be written (argparse also exits 2 on malformed flags, which matches).
 
 `compare` runs two independent experiments. With `--threads` >= 2 (where the
 platform has `os.fork`) the bootstrap runs in a forked child while this process

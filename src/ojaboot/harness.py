@@ -54,9 +54,6 @@ _SVG_MAX_JUMPS = 1024
 _CSV_ROWS = 4096
 _SVG_WIDTH, _SVG_HEIGHT = 800, 600
 
-_SUMMARY_KEYS = ("config_echo", "ks", "trace_vbar", "frob_vbar",
-                 "weights_top10", "quantiles", "checks")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the CLI maps this to exit code 2."""
@@ -122,12 +119,14 @@ class ExperimentConfig:
 
     def spectral_model(self, d: int | None = None) -> model.SpectralModel:
         """The kernel model, on d coordinates instead of the config's if given."""
+        d = self.d if d is None else d
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return model.spectral_decompose(model.KernelSpec(
-                    d=self.d if d is None else d, c=self.c, beta=self.beta, scale=self.scale))
-        except ValueError as exc:  # the inputs are valid: the covariance overflowed
-            raise self.out_of_range("the covariance") from exc
+                return model.spectral_decompose(model.KernelSpec(d, self.c, self.beta, self.scale))
+        except (ValueError, MemoryError) as exc:  # a ValueError past numpy's size limit
+            if isinstance(exc, MemoryError) or d * d * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"d = {d}: the d x d covariance does not fit in memory") from exc
+            raise self.out_of_range("the covariance") from exc  # valid inputs: it overflowed
 
     def out_of_range(self, what: str) -> ConfigError:
         return ConfigError(f"{what} overflows at scale = {self.scale!r}, beta = {self.beta!r}")
@@ -307,6 +306,18 @@ def run_reference(config: ExperimentConfig) -> dict:
 
 # -- verification suite ------------------------------------------------------
 
+def _within(value, bound) -> bool:
+    """value <= bound, key by key for a dict; low <= value <= high for [low, high]."""
+    if isinstance(bound, dict):
+        return all(_within(value[key], b) for key, b in bound.items())
+    return bound[0] <= value <= bound[1] if isinstance(bound, list) else value <= bound
+
+
+def _check(name: str, value, bound) -> dict:
+    """A report record whose verdict is read off the bound it shows."""
+    return {"name": name, "value": value, "bound": bound, "passed": bool(_within(value, bound))}
+
+
 def _check_hoeffding(config: ExperimentConfig) -> list:
     """Both decomposition identities on eight (n, d, eta) cases, each case's data
     drawn before its multipliers. The subset terms can cancel by a factor of ~4e6,
@@ -333,17 +344,14 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
                         np.sum((t - d) ** 2) / max(den * den, np.sum(d ** 2)))
                     worst[name] = max(worst[name], err)
                 case += 1
-    return [{"name": name, "value": err, "bound": 1e-10, "passed": bool(err <= 1e-10)}
-            for name, err in worst.items()]
+    return [_check(name, err, 1e-10) for name, err in worst.items()]
 
 
 def _check_orthogonality(config: ExperimentConfig) -> dict:
     # lopsided two-point mean-zero law so the centered factor does not vanish
     sup = np.array([[1.2, 0.5], [-0.6, -0.25]])
     spec = model.DiscreteSpec(sup, np.array([1 / 3, 2 / 3]))
-    worst = hoeffding.orthogonality_table(spec, n=4, eta_n=1.0)
-    return {"name": "orthogonality", "value": worst, "bound": 1e-10,
-            "passed": bool(worst <= 1e-10)}
+    return _check("orthogonality", hoeffding.orthogonality_table(spec, n=4, eta_n=1.0), 1e-10)
 
 
 def _check_chisq_moments(draws, weights: reference.WeightedChiSq) -> dict:
@@ -357,13 +365,12 @@ def _check_chisq_moments(draws, weights: reference.WeightedChiSq) -> dict:
     var = np.multiply(scratch, scratch, out=scratch).sum() / n
     se_var = np.sqrt(max(m4 - var ** 2, 1e-300) / n)
     var_dev = abs(var - weights.variance) / se_var
-    passed = mean_dev <= 4.0 and var_dev <= 5.0
-    return {"name": "chisq_moments",
-            "value": {"mean_sigmas": float(mean_dev), "var_sigmas": float(var_dev)},
-            "bound": {"mean_sigmas": 4.0, "var_sigmas": 5.0}, "passed": bool(passed)}
+    return _check("chisq_moments", {"mean_sigmas": float(mean_dev), "var_sigmas": float(var_dev)},
+                  {"mean_sigmas": 4.0, "var_sigmas": 5.0})
 
 
 def _check_anticoncentration(draws) -> dict:
+    """The one check with its own verdict: the bound plus Monte Carlo slack."""
     out = reference.anticoncentration_check(draws, 0.01)
     return {"name": "anticoncentration", "value": out["max_window_prob"],
             "bound": out["bound"], "passed": bool(out["pass"])}
@@ -381,9 +388,7 @@ def _check_covariance_rate(config: ExperimentConfig) -> dict:
             cov = bootstrap.bootstrap_covariance(data, mdl, eta)
             diffs.append(abs(float(np.trace(cov - vbar))))
         medians[n] = stats.median(diffs)
-    ratio = medians[500] / max(medians[2000], 1e-300)
-    return {"name": "covariance_rate", "value": ratio, "bound": [1.3, 5.0],
-            "passed": bool(1.3 <= ratio <= 5.0)}
+    return _check("covariance_rate", medians[500] / max(medians[2000], 1e-300), [1.3, 5.0])
 
 
 def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
@@ -400,8 +405,7 @@ def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
     brute = (eta / n) * mdl.v_perp @ brute @ mdl.v_perp.T
     rel = (linalg.frobenius_norm(closed - brute)
            / max(linalg.frobenius_norm(brute), 1e-300))
-    return {"name": "vbar_closed_form", "value": rel, "bound": 1e-10,
-            "passed": bool(rel <= 1e-10)}
+    return _check("vbar_closed_form", rel, 1e-10)
 
 
 def verify(config: ExperimentConfig) -> dict:
@@ -432,11 +436,10 @@ def _cdf_rows(cdf: stats.EmpiricalCdf, prefix: str = ""):
 
 
 def write_text(path, first: str, rest=()) -> None:
-    """first, then rest's strings (the first of them in first's write) to path."""
-    rest = iter(rest)
+    """first, then rest's strings, to path."""
     try:
         with open(path, "w") as f:
-            f.write(first + next(rest, ""))
+            f.write(first)
             f.writelines(rest)
     except OSError as exc:  # a file that cannot be written is a config error
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -451,12 +454,13 @@ def write_pooled_csv(path, named_cdfs) -> None:
                (rows for name, cdf in named_cdfs for rows in _cdf_rows(cdf, f"{name},")))
 
 
-def write_summary_json(path, config: ExperimentConfig, **fields) -> None:
-    unknown = set(fields) - set(_SUMMARY_KEYS)
-    if unknown:
-        raise ValueError(f"unknown summary fields: {sorted(unknown)}")
-    payload = {key: fields.get(key) for key in _SUMMARY_KEYS}
-    payload["config_echo"] = config.echo()
+def write_summary_json(path, config: ExperimentConfig, *, ks=None, trace_vbar=None,
+                       frob_vbar=None, weights_top10=None, quantiles=None,
+                       checks=None) -> None:
+    """The summary's schema: config_echo and the keyword parameters, null if not given."""
+    payload = {"config_echo": config.echo(), "ks": ks, "trace_vbar": trace_vbar,
+               "frob_vbar": frob_vbar, "weights_top10": weights_top10,
+               "quantiles": quantiles, "checks": checks}
     try:  # strict JSON: no inf and no nan
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecomposition, PSD square root, norms.
+"""Dense symmetric linear algebra: eigendecomposition, a decomposition's PSD root, norms.
 
 Everything downstream (covariance models, the reference distribution, the
 bootstrap covariance) takes its spectra from `eigh` here, the package's one
@@ -82,15 +82,13 @@ def frobenius_norm(a) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(a, -k)), k))
 
 
-def sqrt_psd(a, dec: EigenDecomposition | None = None) -> np.ndarray:
-    """Symmetric PSD square root S of `a`, with S @ S recovering `a`.
+def sqrt_psd(dec: EigenDecomposition) -> np.ndarray:
+    """Symmetric PSD square root S of the matrix A that `dec` decomposes, S @ S ~ A.
 
     Eigenvalues are allowed to dip to -1e-10 times the operator norm (roundoff
     from covariance assembly) and are clamped to zero; anything lower raises
-    NotPsdError. Pass `dec` to reuse an existing decomposition of `a`.
+    NotPsdError.
     """
-    if dec is None:
-        dec = eigh(a)
     vals, q = dec.eigenvalues, dec.eigenvectors
     opn = float(np.max(np.abs(vals))) if vals.size else 0.0
     if np.min(vals) < -1e-10 * opn:

@@ -1,11 +1,10 @@
 """Covariance models and their streaming samplers.
 
-Three covariance families are supported: the exponential-kernel family with
+Two covariance families are supported: the exponential-kernel family with
 power-decay scales (sigma_ij = exp(-|i-j| c) * s_i s_j, s_i = scale * i^-beta
-with 1-based i), explicitly supplied symmetric matrices, and finite discrete
-laws given by mean-zero support points with probabilities. Discrete laws exist
-so that expectations can be computed exactly by outcome enumeration; they are
-enumerated, never sampled.
+with 1-based i), and finite discrete laws given by mean-zero support points with
+probabilities. Discrete laws exist so that expectations can be computed exactly
+by outcome enumeration; they are enumerated, never sampled.
 
 Continuous samples are X = Sigma^{1/2} Z with Z having iid Uniform(-sqrt 3,
 sqrt 3) coordinates (mean zero, identity second moment), so E[X X^T] = Sigma.
@@ -56,14 +55,6 @@ class KernelSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ExplicitSpec:
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", linalg.sym(self.sigma))
-
-
-@dataclass(frozen=True, eq=False)
 class DiscreteSpec:
     """Finite mean-zero law: support[k] drawn with probability probs[k]."""
 
@@ -90,7 +81,7 @@ class DiscreteSpec:
         return linalg.sym((self.support.T * self.probs) @ self.support)
 
 
-CovarianceSpec = KernelSpec | ExplicitSpec | DiscreteSpec
+CovarianceSpec = KernelSpec | DiscreteSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +118,7 @@ def spectral_decompose(spec: CovarianceSpec) -> SpectralModel:
     """Eigensystem of the described covariance; a degenerate eigengap is a soft flag."""
     sigma = spec.sigma
     eig = linalg.eigh(sigma)
-    sqrt_sigma = linalg.sqrt_psd(sigma, dec=eig)
+    sqrt_sigma = linalg.sqrt_psd(eig)
     lambda1 = float(eig.eigenvalues[0])
     lambda2 = float(eig.eigenvalues[1]) if eig.dim > 1 else 0.0
     degenerate = eig.dim > 1 and (lambda1 - lambda2) <= DEGENERATE_GAP_RTOL * abs(lambda1)

@@ -8,7 +8,7 @@ path and never depends on thread scheduling or evaluation order.
 
 Streams are backed by Philox (counter-based) generators keyed through
 numpy.random.SeedSequence. A stream is single-consumer: derive one per
-logical actor rather than sharing.
+logical actor rather than sharing. `chisq1` draws arrays only, of a given shape.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))
 
-    def __repr__(self):
-        return f"RngStream(master_seed={self.master_seed}, path={self.path!r})"
-
     # -- sampling primitives ------------------------------------------------
 
     def normal(self, mean: float = 0.0, variance: float = 1.0, size=None):
@@ -84,10 +81,10 @@ class RngStream:
         """Uniform(-sqrt(3), sqrt(3)): mean 0, variance 1."""
         return to_symmetric(self._gen.random(size))
 
-    def chisq1(self, size=None):
-        """chi^2(1) draw(s), literally the square of a standard normal (in place)."""
+    def chisq1(self, size):
+        """chi^2(1) draws of shape `size`: standard normals, squared in place."""
         z = self._gen.standard_normal(size)
-        return z * z if size is None else np.square(z, out=z)
+        return np.square(z, out=z)
 
     def uniform01(self, size=None, out=None):
         """Uniform [0, 1) draw(s), into `out` when given: indices into finite supports,

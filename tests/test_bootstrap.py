@@ -1,10 +1,17 @@
 """Multiplier-bootstrap replicate semantics (the multiplier update of oja.advance and
 the multiplier draws) and the closed-form covariance."""
 
+import types
+
 import numpy as np
 import pytest
 
-from ojaboot import bootstrap, hoeffding, model, oja, randgen
+from ojaboot import bootstrap, hoeffding, linalg, model, oja, randgen
+
+
+def explicit_law(sigma):
+    """A law given only by its covariance, symmetrized as the package's specs are."""
+    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def scalar_update(v, x_t, prev_x, eta, w):
@@ -35,7 +42,7 @@ def plain_pass(data, eta, u0):
 def small_model(d=4, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, d))
-    return model.spectral_decompose(model.ExplicitSpec(raw @ raw.T + np.diag([3.0] + [0.5] * (d - 1))))
+    return model.spectral_decompose(explicit_law(raw @ raw.T + np.diag([3.0] + [0.5] * (d - 1))))
 
 
 class TestEnsembleInit:
@@ -300,6 +307,6 @@ class TestBootstrapCovariance:
         assert np.linalg.norm(cov @ m.v1) <= 1e-10
 
     def test_degenerate_gap_rejected(self):
-        m = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
+        m = model.spectral_decompose(explicit_law(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
             bootstrap.bootstrap_covariance(np.ones((5, 3)), m, 1.0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ojaboot
-from ojaboot import cli, harness
+from ojaboot import cli, harness, model
 
 
 @pytest.fixture
@@ -26,6 +26,22 @@ def config_path(tmp_path):
         "output_dir": str(tmp_path / "out"),
     }))
     return p
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that os.fork returns in the parent."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def read_all(out_dir):
@@ -94,6 +110,34 @@ class TestExitCodes:
         assert cli.main(["reference", "--config", str(config_path)]) == 2
         name = "eta_rule.fixed" if field == "eta_rule" else field
         assert capsys.readouterr().err.startswith(f"config error: {name} ")
+
+    @pytest.mark.parametrize("args", [["sampling"], ["bootstrap"], ["reference"], ["verify"],
+                                      ["compare", "--threads", "2"]],
+                             ids=["sampling", "bootstrap", "reference", "verify", "compare-forked"])
+    def test_d_past_numpys_size_limit_is_config_error(self, config_path, capsys, args):
+        # numpy refuses the 2**61-entry index vector before it allocates anything; the
+        # message names d, not an overflow, and verify's exit 1 would say a check failed
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**raw, "d": 2**61}))
+        assert cli.main([*args, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: d = {2**61}: the d x d covariance "
+                                           "does not fit in memory\n")
+
+    @pytest.mark.parametrize("args", [["verify"], ["compare", "--threads", "2"]],
+                             ids=["verify", "compare-forked"])
+    def test_covariance_that_cannot_be_allocated_is_config_error(self, config_path, capsys,
+                                                                 monkeypatch, forked, args):
+        def no_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(model.KernelSpec, "sigma", property(no_memory))
+        assert cli.main([*args, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == ("config error: d = 4: the d x d covariance "
+                                           "does not fit in memory\n")
+        assert len(forked) == (args[0] == "compare")
+        for pid in forked:  # killed and reaped: no zombie is left
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("command, name", [("sampling", "sampling_cdf.csv"),
                                                ("verify", "verify_report.json")])
@@ -262,21 +306,6 @@ class TestExitCodes:
 
 
 class TestForkedBootstrap:
-    @pytest.fixture
-    def forked(self, monkeypatch):
-        """The pids that os.fork returns in the parent."""
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        return pids
-
     def test_child_that_dies_fails_with_its_status(self, config_path, monkeypatch, forked):
         monkeypatch.setattr(harness, "run_bootstrap_experiment", lambda config: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with status 3"):

@@ -602,7 +602,7 @@ class TestWriters:
         assert data["config_echo"]["n"] == 60
 
     def test_summary_rejects_unknown_field(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             harness.write_summary_json(tmp_path / "s.json", tiny_config(), extra=1)
 
     def test_svg_thinning(self):

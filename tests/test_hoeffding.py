@@ -7,12 +7,18 @@ sums over enumerated outcomes.
 
 import functools
 import itertools
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ojaboot import hoeffding, linalg, model, randgen, reference
+
+
+def explicit_law(sigma):
+    """A law given only by its covariance, symmetrized as the package's specs are."""
+    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def three_point_law():
@@ -304,7 +310,7 @@ class TestHajekTermV1:
         rng = np.random.default_rng(seed)
         n, d = 3, 2
         raw = rng.standard_normal((d, d))
-        m = model.spectral_decompose(model.ExplicitSpec(raw @ raw.T + np.diag([2.0, 0.5])))
+        m = model.spectral_decompose(explicit_law(raw @ raw.T + np.diag([2.0, 0.5])))
         data = rng.standard_normal((n, d))
         eta_n = 1.1
         a = eta_n / n
@@ -321,6 +327,6 @@ class TestHajekTermV1:
         assert abs(got @ m.v1) <= 1e-12
 
     def test_degenerate_gap_rejected(self):
-        m = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
+        m = model.spectral_decompose(explicit_law(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
             hajek_term_v1(np.ones((2, 3)), m, eta_n=1.0)

@@ -1,11 +1,17 @@
 """Covariance construction, spectral data, sampling laws, and enumeration."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from ojaboot import linalg, model, randgen
+
+
+def explicit_law(sigma):
+    """A law given only by its covariance, symmetrized as the package's specs are."""
+    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def rademacher_e1(d=2):
@@ -52,7 +58,7 @@ class TestKernelCovariance:
 
 class TestSpectralDecompose:
     def test_diagonal(self):
-        m = model.spectral_decompose(model.ExplicitSpec(np.diag([3.0, 1.0])))
+        m = model.spectral_decompose(explicit_law(np.diag([3.0, 1.0])))
         np.testing.assert_allclose(m.v1, [1.0, 0.0])
         assert m.lambda1 == pytest.approx(3.0)
         assert m.lambda2 == pytest.approx(1.0)
@@ -61,7 +67,7 @@ class TestSpectralDecompose:
         m.require_gap()  # no raise
 
     def test_identity_flags_degenerate_gap(self):
-        m = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
+        m = model.spectral_decompose(explicit_law(np.eye(3)))
         assert m.degenerate_gap
         with pytest.raises(model.DegenerateGapError):
             m.require_gap()
@@ -83,7 +89,7 @@ class TestSpectralDecompose:
 
 class TestSampleX:
     def test_identity_coordinates_uniform(self):
-        m = model.spectral_decompose(model.ExplicitSpec(np.eye(4)))
+        m = model.spectral_decompose(explicit_law(np.eye(4)))
         s = randgen.derive_stream(1, ("sx",))
         xs = model.sample_x(m, s, size=20000)
         assert np.all(np.abs(xs) < math.sqrt(3.0) + 1e-12)

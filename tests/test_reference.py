@@ -4,11 +4,17 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from ojaboot import linalg, model, randgen, reference
+
+
+def explicit_law(sigma):
+    """A law given only by its covariance, symmetrized as the package's specs are."""
+    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def kernel_model(d, c, beta, scale=1.0):
@@ -65,7 +71,7 @@ class TestEstimateM:
 
     def test_product_moment_diag_law(self):
         # independent unit-variance coordinates: E[(x.v1)^2 (x.v2)^2] = lam1*lam2
-        mdl = model.spectral_decompose(model.ExplicitSpec(np.diag([3.0, 1.2])))
+        mdl = model.spectral_decompose(explicit_law(np.diag([3.0, 1.2])))
         np.testing.assert_allclose(reference.estimate_M(mdl), [[3.6]], rtol=1e-15)
 
     def test_discrete_exact_value(self):
@@ -86,7 +92,7 @@ class TestEstimateM:
 
     @pytest.mark.parametrize("spec", [
         model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5),
-        model.ExplicitSpec(np.array([[3.0, 0.8, 0.4], [0.8, 2.0, -0.5], [0.4, -0.5, 1.0]])),
+        explicit_law(np.array([[3.0, 0.8, 0.4], [0.8, 2.0, -0.5], [0.4, -0.5, 1.0]])),
     ], ids=["kernel", "explicit"])
     def test_closed_form_matches_monte_carlo(self, spec):
         mdl = model.spectral_decompose(spec)
@@ -194,7 +200,7 @@ class TestBuildReference:
             vbar, reference.assemble_vbar([[0.1944]], lp, 1.0, 10, mdl.v_perp), atol=1e-15)
 
     def test_degenerate_gap_rejected(self):
-        mdl = model.spectral_decompose(model.ExplicitSpec(np.eye(3)))
+        mdl = model.spectral_decompose(explicit_law(np.eye(3)))
         with pytest.raises(model.DegenerateGapError):
             reference.build_reference(mdl, 1.0, 10)
 
