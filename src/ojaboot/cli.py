@@ -80,7 +80,7 @@ def _cmd_bootstrap(config, out: Path) -> int:
 def _cmd_reference(config, out: Path) -> int:
     res = harness.run_reference(config)
     vbar = res["vbar"]
-    harness.write_cdf_csv(out / "reference_cdf.csv", res["cdf"])
+    harness.write_grid_csv(out / "reference_cdf.csv", res["t"], res["F"])
     harness.write_summary_json(out / "reference_summary.json", config,
                                trace_vbar=float(vbar.trace()),
                                frob_vbar=linalg.frobenius_norm(vbar),

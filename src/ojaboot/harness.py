@@ -13,9 +13,9 @@ normalizes once, at the end. Sampling moves blocks of up to 100 trials through
 chunks whose coordinates fill one buffer, a fixed share per trial. Bootstrap blocks
 of up to 512 rows (replicates, then v_hat with zero multipliers) each stream the one
 dataset afresh in chunks of 256 steps (100 from d = 63), holding only their own streams.
-Verify sorts its one chi-square sample in place, and its Hoeffding checks compare
-integer numerators only; the CSV writers write _CSV_ROWS rows at a time, never a
-whole file's text.
+The reference law is exact, a CDF by Laplace inversion, so `reference` and verify's two
+chi-square checks draw nothing. Verify's Hoeffding checks compare integer numerators
+only; the CSV writers write _CSV_ROWS rows at a time, never a whole file's text.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ _SMALL_GEMM = 10**6
 _BOOTSTRAP_STEPS = 256
 _SAMPLING_BLOCK = 100
 _TRIAL_FLOATS = 1280
+# reference_cdf.csv's rows, t_j = j t_max / _GRID_ROWS with t_max the law's
+# (1 - 1e-9) quantile; the chi-square moment check's trapezoid nodes
+_GRID_ROWS = 1000
+_MOMENT_NODES = 1000
 # SVG polylines thin to this many jumps; CSVs always keep every sample
 _SVG_MAX_JUMPS = 1024
 _CSV_ROWS = 4096
@@ -80,7 +84,7 @@ class ExperimentConfig:
     eta_rule: str | dict = "log_n"  # or {"fixed": value}
     master_seed: int = 0
     mc_m_estimate: int = 10**5  # validated and echoed; the moment matrix is exact
-    mc_chisq: int = 10**5
+    mc_chisq: int = 10**5  # validated and echoed; the reference law is exact
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -279,29 +283,17 @@ def _reference_law(config: ExperimentConfig) -> tuple:
     return vbar, weights
 
 
-def _chisq_sample(config: ExperimentConfig, weights, *path) -> np.ndarray:
-    try:  # numpy refuses a count past its array size with a ValueError
-        return reference.sample_weighted_chisq(weights, config.stream(*path), config.mc_chisq)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"mc_chisq = {config.mc_chisq} draws do not fit in memory") from exc
-
-
 def run_reference(config: ExperimentConfig) -> dict:
-    """Assemble the reference covariance and sample its weighted chi-square law.
-
-    The draws are on the scale of (n/eta_n) * sin2, the units the limit law
-    is stated in.
-    """
+    """Assemble the reference covariance and its weighted chi-square law: the law's
+    CDF F at t_j = j t_max / _GRID_ROWS, j = 1.._GRID_ROWS, where t_max is its
+    (1 - 1e-9) quantile, and its quantiles. The law is on the scale of
+    (n/eta_n) * sin2, the units the limit law is stated in."""
     vbar, weights = _reference_law(config)
-    samples = _chisq_sample(config, weights, "mc", "chisq")
-    cdf = stats.ecdf(samples)
-    return {
-        "vbar": vbar,
-        "weights": weights,
-        "samples": samples,
-        "cdf": cdf,
-        "quantiles": {f"q{p}": cdf.quantile(p) for p in (0.9, 0.95, 0.99)},
-    }
+    levels = (0.9, 0.95, 0.99)
+    *q, t_max = weights.quantile([*levels, 1.0 - 1e-9]).tolist()
+    t = t_max * np.arange(1, _GRID_ROWS + 1) / _GRID_ROWS
+    return {"vbar": vbar, "weights": weights, "t": t, "F": weights.cdf(t),
+            "quantiles": {f"q{p}": x for p, x in zip(levels, q)}}
 
 
 # -- verification suite ------------------------------------------------------
@@ -354,26 +346,23 @@ def _check_orthogonality(config: ExperimentConfig) -> dict:
     return _check("orthogonality", hoeffding.orthogonality_table(spec, n=4, eta_n=1.0), 1e-10)
 
 
-def _check_chisq_moments(draws, weights: reference.WeightedChiSq) -> dict:
-    n, mean = draws.size, draws.mean()
-    se_mean = np.sqrt(weights.variance / n)
-    mean_dev = abs(mean - weights.mean) / max(se_mean, 1e-300)
-    # np.mean((draws - mean) ** 4) and draws.var() bit for bit, in one scratch array
-    scratch = np.subtract(draws, mean)
-    m4 = float(np.power(scratch, 4, out=scratch).mean())
-    np.subtract(draws, mean, out=scratch)
-    var = np.multiply(scratch, scratch, out=scratch).sum() / n
-    se_var = np.sqrt(max(m4 - var ** 2, 1e-300) / n)
-    var_dev = abs(var - weights.variance) / se_var
-    return _check("chisq_moments", {"mean_sigmas": float(mean_dev), "var_sigmas": float(var_dev)},
-                  {"mean_sigmas": 4.0, "var_sigmas": 5.0})
+def _check_chisq_moments(unit: reference.WeightedChiSq) -> dict:
+    """The inversion's moment identities at unit weights, as relative errors: int (1 - F)
+    = sum w and 2 int x (1 - F) = 2 sum w^2 + (sum w)^2. In x = y^4 both integrands are
+    flat at y = 0 and below e^-40 at tail_end, so the trapezoid rule is a plain sum; on
+    _MOMENT_NODES nodes it reads at most 1.3e-10 over 76 laws, 1 to 200 weights. An F
+    within its stated 1e-10 keeps both below 3e-7, so the bound is 1e-6."""
+    y, step = np.linspace(0.0, unit.tail_end ** 0.25, _MOMENT_NODES, retstep=True)
+    g = 4.0 * step * y**3 * (1.0 - unit.cdf(y**4))
+    errors = {"mean_rel_err": g.sum() / unit.mean,
+              "second_moment_rel_err": 2.0 * (y**4 * g).sum() / (unit.variance + unit.mean**2)}
+    return _check("chisq_moments", {k: abs(float(v) - 1.0) for k, v in errors.items()},
+                  dict.fromkeys(errors, 1e-6))
 
 
-def _check_anticoncentration(draws) -> dict:
-    """The one check with its own verdict: the bound plus Monte Carlo slack."""
-    out = reference.anticoncentration_check(draws, 0.01)
-    return {"name": "anticoncentration", "value": out["max_window_prob"],
-            "bound": out["bound"], "passed": bool(out["pass"])}
+def _check_anticoncentration(unit: reference.WeightedChiSq) -> dict:
+    return _check("anticoncentration", reference.max_window_prob(unit, 0.01),
+                  reference.window_bound(0.01))
 
 
 def _check_covariance_rate(config: ExperimentConfig) -> dict:
@@ -410,18 +399,13 @@ def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
 
 def verify(config: ExperimentConfig) -> dict:
     """Run the named self-checks; each appears exactly once in the report. The
-    two chi-square checks read one sample of `mc_chisq` draws from ("verify",
-    "moments"): the law of `run_reference`'s weights scaled to unit weights, the
-    scale the anti-concentration bound is stated at. The moment check's sigma
-    ratios are scale-free. The reference law's own sample is never drawn, and
-    verify's is sorted in place for the anti-concentration check, never copied."""
+    two chi-square checks read the exact CDF of `run_reference`'s law scaled to
+    unit weights, the scale the anti-concentration bound is stated at; they draw
+    nothing."""
     unit = _reference_law(config)[1].unit()
-    draws = _chisq_sample(config, unit, "verify", "moments")
     checks = [*_check_hoeffding(config), _check_orthogonality(config),
-              _check_chisq_moments(draws, unit)]
-    draws.sort()  # in place, after the moment check: its sums run in draw order
-    checks += [_check_anticoncentration(draws), _check_covariance_rate(config),
-               _check_vbar_closed_form(config)]
+              _check_chisq_moments(unit), _check_anticoncentration(unit),
+              _check_covariance_rate(config), _check_vbar_closed_form(config)]
     return {"checks": checks, "passed": bool(all(c["passed"] for c in checks))}
 
 
@@ -447,6 +431,11 @@ def write_text(path, first: str, rest=()) -> None:
 
 def write_cdf_csv(path, cdf: stats.EmpiricalCdf) -> None:
     write_text(path, "t,F\n", _cdf_rows(cdf))
+
+
+def write_grid_csv(path, t, f) -> None:
+    """A CDF given at the points t as rows "t,F", the floats written through repr."""
+    write_text(path, "t,F\n", (f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), f.tolist())))
 
 
 def write_pooled_csv(path, named_cdfs) -> None:

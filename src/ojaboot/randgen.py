@@ -82,7 +82,8 @@ class RngStream:
         return to_symmetric(self._gen.random(size))
 
     def chisq1(self, size):
-        """chi^2(1) draws of shape `size`: standard normals, squared in place."""
+        """chi^2(1) draws of shape `size`: standard normals, squared in place. No package
+        code draws them; `perfbench/tracer.py` wraps the method by name."""
         z = self._gen.standard_normal(size)
         return np.square(z, out=z)
 

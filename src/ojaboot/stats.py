@@ -31,19 +31,13 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted_samples, t, side="left") / self.count
 
     def quantile(self, p: float) -> float:
-        """`sorted_quantile` of the sample."""
-        return sorted_quantile(self.sorted_samples, p)
-
-
-def sorted_quantile(s: np.ndarray, p: float) -> float:
-    """Left-continuous inverse of the empirical CDF of the ascending sample s:
-    the smallest sample with F >= p; p=0 gives the min."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if p == 0.0:
-        return float(s[0])
-    k = int(np.ceil(p * s.size)) - 1
-    return float(s[min(k, s.size - 1)])
+        """Left-continuous inverse: the smallest sample with F >= p; p=0 gives the min."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        if p == 0.0:
+            return float(self.sorted_samples[0])
+        k = int(np.ceil(p * self.count)) - 1
+        return float(self.sorted_samples[min(k, self.count - 1)])
 
 
 def ecdf(samples) -> EmpiricalCdf:

@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ojaboot import (bootstrap, cli, harness, hoeffding, linalg, model, oja,
-                     randgen, reference, stats)
+from ojaboot import bootstrap, cli, harness, hoeffding, linalg, model, randgen, reference
 
 SEED = 2024
 
@@ -21,6 +20,15 @@ SEED = 2024
 # 0.07 to 0.24 (9 of 12 under the 0.20 bound, median 0.15) with the n=500
 # value larger in 11 of 12. This config freezes a mid-pack seed.
 FIG_SEED = 7
+
+
+def one_sample_ks(samples, cdf) -> float:
+    """sup_t |ECDF(t) - F(t)| for a continuous F: at each sorted sample, against both
+    of the ECDF's one-sided limits."""
+    s = np.sort(samples)
+    f = cdf(s)
+    i = np.arange(1, s.size + 1) / s.size
+    return float(max(np.max(i - f), np.max(f - (i - 1.0 / s.size))))
 
 
 def _instances():
@@ -103,7 +111,7 @@ def test_criterion_03_orthogonality():
 
 def test_criterion_04_clt_ks(clt_run):
     cfg, sampling, ref = clt_run
-    ks = stats.kolmogorov_distance(sampling["scaled_cdf"], ref["cdf"])
+    ks = one_sample_ks(sampling["scaled_samples"], ref["weights"].cdf)
     print(f"criterion 4: KS(scaled errors, reference law) = {ks:.4f} (bound 0.12)")
     assert ks <= 0.12
 
@@ -150,12 +158,10 @@ def test_criterion_07_covariance_rate():
 
 def test_criterion_08_anticoncentration(clt_run):
     cfg, _, ref = clt_run
-    draws = reference.sample_weighted_chisq(
-        ref["weights"].unit(), randgen.derive_stream(SEED, ("acc", "anticonc")), 2 * 10**5)
-    out = reference.anticoncentration_check(np.sort(draws), 0.01)
-    print(f"criterion 8: max window probability {out['max_window_prob']:.4f} "
-          f"(bound {out['bound']:.4f} + MC slack)")
-    assert out["pass"]
+    value = reference.max_window_prob(ref["weights"].unit(), 0.01)
+    bound = reference.window_bound(0.01)
+    print(f"criterion 8: max window probability {value:.4f} (bound {bound:.4f})")
+    assert value <= bound
 
 
 def test_criterion_09_vbar_closed_form():

@@ -176,17 +176,6 @@ class TestExitCodes:
         assert cli.main(["sampling", "--config", str(config_path), "--out", "a\x00b"]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["reference", "verify"])
-    def test_chisq_sample_past_the_array_size_is_config_error(self, config_path, capsys,
-                                                              command):
-        # numpy refuses 2**62 float64 values before it allocates anything
-        raw = json.loads(config_path.read_text())
-        raw["mc_chisq"] = 2**62
-        config_path.write_text(json.dumps(raw))
-        assert cli.main([command, "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == (f"config error: mc_chisq = {2**62} draws do not "
-                                           "fit in memory\n")
-
     @pytest.mark.parametrize("args, rate", [
         (["sampling"], 1e300), (["bootstrap"], 1e300), (["compare", "--threads", "2"], 1e300),
         # n / eta_n, the scale of sampling's scaled errors, overflows
@@ -432,6 +421,23 @@ class TestDeterminism:
             summary = json.loads((out / "reference_summary.json").read_text())
             assert summary["config_echo"].pop("mc_m_estimate") == mc_m_estimate
             runs.append(((out / "reference_cdf.csv").read_bytes(), summary))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command", ["reference", "verify"])
+    def test_mc_chisq_changes_no_output(self, config_path, tmp_path, command):
+        # the reference law is an exact CDF, so the key is only validated and echoed;
+        # 2**62 draws would not fit in memory
+        runs = []
+        for mc_chisq in (1, 2**62):
+            raw = json.loads(config_path.read_text())
+            raw["mc_chisq"] = mc_chisq
+            config_path.write_text(json.dumps(raw))
+            assert cli.main([command, "--config", str(config_path)]) == 0
+            files = read_all(tmp_path / "out")
+            name = f"{command}_summary.json" if command == "reference" else "verify_report.json"
+            summary = json.loads(files.pop(name))
+            assert summary["config_echo"].pop("mc_chisq") == mc_chisq
+            runs.append((files, summary))
         assert runs[0] == runs[1]
 
     def test_rerun_is_byte_identical(self, config_path, tmp_path):

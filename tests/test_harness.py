@@ -371,7 +371,20 @@ class TestReferenceRun:
         w = res["weights"].weights
         assert np.all(w >= 0)
         assert sum(w) == pytest.approx(float(np.trace(res["vbar"])), abs=1e-8)
-        assert np.all(res["samples"] >= 0)
+
+    def test_cdf_grid_and_quantiles(self):
+        # 1000 rows t_j = j t_max / 1000 up to the (1 - 1e-9) quantile, F read off the law
+        res = harness.run_reference(tiny_config())
+        t, f = res["t"], res["F"]
+        assert t.size == f.size == 1000
+        np.testing.assert_allclose(np.diff(t), t[0], rtol=1e-12)
+        assert res["weights"].cdf(t[-1]) == f[-1] == pytest.approx(1.0 - 1e-9, rel=0, abs=1e-12)
+        np.testing.assert_array_equal(f, res["weights"].cdf(t))
+        q = res["quantiles"]
+        assert list(q) == ["q0.9", "q0.95", "q0.99"]
+        assert q["q0.9"] < q["q0.95"] < q["q0.99"] < t[-1]
+        np.testing.assert_allclose(res["weights"].cdf(list(q.values())), [0.9, 0.95, 0.99],
+                                   rtol=0, atol=1e-12)
 
     def test_d2_single_weight_closed_form(self):
         cfg = tiny_config(d=2)
@@ -385,7 +398,8 @@ class TestReferenceRun:
     def test_deterministic(self):
         a = harness.run_reference(tiny_config())
         b = harness.run_reference(tiny_config())
-        np.testing.assert_array_equal(a["samples"], b["samples"])
+        np.testing.assert_array_equal(a["F"], b["F"])
+        assert a["quantiles"] == b["quantiles"]
 
 
 class TestCompare:
@@ -455,8 +469,8 @@ class TestVerify:
         assert by_name["orthogonality"]["passed"]
 
     def test_draws_no_reference_chisq_sample(self, monkeypatch):
-        # the chi-square checks need the reference weights, not run_reference's
-        # sample, and the exact moment matrix draws nothing
+        # the chi-square checks read the exact CDF of the reference weights, and the
+        # exact moment matrix draws nothing
         paths = []
         orig = randgen.derive_stream
 
@@ -470,36 +484,42 @@ class TestVerify:
         assert ("mc", "m_estimate") not in paths
         assert not any(p[:2] == ("verify", "rate_m") for p in paths)
         assert ("mc", "chisq") not in paths
-        # both chi-square checks read one sample, drawn once
+        assert ("verify", "moments") not in paths
         assert ("verify", "anticoncentration") not in paths
-        assert paths.count(("verify", "moments")) == 1
         by_name = {c["name"]: c for c in checks}
         # the unit-scaled law of the same weights as run_reference's
         unit = harness.run_reference(cfg)["weights"].unit()
-        draws = reference.sample_weighted_chisq(
-            unit, orig(cfg.master_seed, ("verify", "moments")), cfg.mc_chisq)
-        expected = reference.anticoncentration_check(np.sort(draws), 0.01)
-        assert by_name["anticoncentration"]["value"] == expected["max_window_prob"]
-        se_mean = np.sqrt(unit.variance / draws.size)
-        m4 = np.mean((draws - draws.mean()) ** 4)
-        se_var = np.sqrt((m4 - draws.var() ** 2) / draws.size)
-        assert by_name["chisq_moments"]["value"] == {
-            "mean_sigmas": float(abs(draws.mean() - unit.mean) / se_mean),
-            "var_sigmas": float(abs(draws.var() - unit.variance) / se_var)}
+        assert by_name["anticoncentration"]["value"] == reference.max_window_prob(unit, 0.01)
+        assert by_name["chisq_moments"] == harness._check_chisq_moments(unit)
 
-    def test_chisq_moments_hold_one_scratch_array(self):
-        unit = reference.WeightedChiSq(np.array([3.0, 1.0, 0.5, 0.25])).unit()
-        draws = reference.sample_weighted_chisq(unit, randgen.derive_stream(4, ("moments",)),
-                                                10**5)
-        se_mean = np.sqrt(unit.variance / draws.size)
-        m4 = float(np.mean((draws - draws.mean()) ** 4))
-        se_var = np.sqrt(max(m4 - draws.var() ** 2, 1e-300) / draws.size)
-        assert harness._check_chisq_moments(draws, unit)["value"] == {
-            "mean_sigmas": float(abs(draws.mean() - unit.mean) / max(se_mean, 1e-300)),
-            "var_sigmas": float(abs(draws.var() - unit.variance) / se_var)}
-        # the textbook expressions hold two sample-sized temporaries at once
-        peak = traced_peak_bytes(lambda: harness._check_chisq_moments(draws, unit))
-        assert peak < 1.5 * draws.nbytes
+    def test_chisq_checks_read_the_exact_law(self):
+        check = harness._check_chisq_moments(reference.WeightedChiSq([1.0]))
+        assert check["passed"] and check["bound"] == {"mean_rel_err": 1e-6,
+                                                      "second_moment_rel_err": 1e-6}
+        assert max(check["value"].values()) <= 1e-9
+        # one weight: the top window is at 0, erf(sqrt(h/2)), below sqrt(4h/pi)
+        check = harness._check_anticoncentration(reference.WeightedChiSq([1.0]))
+        assert check["value"] == pytest.approx(math.erf(math.sqrt(0.005)), rel=0, abs=1e-10)
+        assert check["bound"] == math.sqrt(0.04 / math.pi) and check["passed"]
+
+    def test_chisq_moments_fail_when_the_cdf_is_off(self, monkeypatch):
+        # the CDF reads weights 1% too large; the moment identities use the true ones
+        cdf = reference.WeightedChiSq.cdf
+        monkeypatch.setattr(reference.WeightedChiSq, "cdf", lambda law, x: cdf(
+            reference.WeightedChiSq(1.01 * law.weights), x))
+        report = harness.verify(tiny_config(d=6))
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert not by_name["chisq_moments"]["passed"] and not report["passed"]
+        assert min(by_name["chisq_moments"]["value"].values()) > 5e-3
+        assert by_name["anticoncentration"]["passed"]
+
+    def test_anticoncentration_fails_below_the_exact_value(self, monkeypatch):
+        unit = harness._reference_law(tiny_config(d=6))[1].unit()
+        value = reference.max_window_prob(unit, 0.01)
+        monkeypatch.setattr(reference, "window_bound", lambda h: 0.5 * value)
+        check = harness._check_anticoncentration(unit)
+        assert check["value"] == value and check["bound"] == 0.5 * value
+        assert not check["passed"]
 
     def test_hoeffding_exactness_survives_cancellation(self):
         # Default config, seed 5: the n=6, d=3, eta=log 6 case sums subset terms

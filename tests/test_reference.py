@@ -1,4 +1,5 @@
-"""Reference covariance assembly, chi-square weights, and anti-concentration."""
+"""Reference covariance assembly, chi-square weights, the exact chi-square CDF and
+its quantiles, and anti-concentration."""
 
 import dataclasses
 import itertools
@@ -282,75 +283,122 @@ class TestChisqWeights:
 
 
 
-class TestSampleWeightedChisq:
-    def test_single_weight_quantile(self):
-        # chi-square(1): P(xi <= 3.8415) = 0.95
-        d = reference.sample_weighted_chisq(
-            reference.WeightedChiSq([1.0]), randgen.derive_stream(9, ("q",)), 10**5)
-        assert abs(np.mean(d <= 3.8415) - 0.95) <= 0.005
+def sample_weighted_chisq(weights, seed, n_mc, rows=512):
+    """n_mc draws of sum_r weights[r] xi_r, xi_r iid chi-square(1), `rows` at a time:
+    the Monte Carlo oracle for the exact CDF."""
+    rng = np.random.default_rng(seed)
+    w = np.asarray(weights, dtype=float)
+    return np.concatenate([np.square(rng.standard_normal((min(rows, n_mc - lo), w.size))) @ w
+                           for lo in range(0, n_mc, rows)])
 
-    def test_equal_pair_mean(self):
-        a = 0.7
-        d = reference.sample_weighted_chisq(
-            reference.WeightedChiSq([a, a]), randgen.derive_stream(11, ("p",)), 10**5)
-        assert abs(d.mean() - 2 * a) <= 3 * (2 * a / np.sqrt(10**5))
 
-    def test_zero_weights_degenerate(self):
-        d = reference.sample_weighted_chisq(
-            reference.WeightedChiSq([0.0, 0.0]), randgen.derive_stream(12, ("z",)), 100)
-        np.testing.assert_array_equal(d, np.zeros(100))
+chisq_law = reference.WeightedChiSq
 
-    def test_mean_and_variance_invariant(self):
-        w = reference.WeightedChiSq([2.0, 0.7, 0.1])
-        d = reference.sample_weighted_chisq(w, randgen.derive_stream(10, ("mv",)), 2 * 10**5)
-        se_mean = np.sqrt(w.variance / d.size)
-        assert abs(d.mean() - w.mean) <= 4 * se_mean
-        m4 = np.mean((d - d.mean()) ** 4)
-        se_var = np.sqrt((m4 - d.var() ** 2) / d.size)
-        assert abs(d.var() - w.variance) <= 5 * se_var
 
-    def test_roundoff_weight_draws_no_column(self):
-        # a weight below the relative floor (vbar's null eigenvalue, say) is
-        # roundoff; whether it lands at +1e-18 or 0 must not change the draw
-        draws = [reference.sample_weighted_chisq(reference.WeightedChiSq([1.3, tiny]),
-                                                 randgen.derive_stream(15, ("f",)), 1000)
-                 for tiny in (1e-18, 0.0)]
-        np.testing.assert_array_equal(draws[0], draws[1])
+class TestChisqCdf:
+    x = np.linspace(0.0, 30.0, 301)[1:]
 
-    def test_nonnegative_draws(self):
-        d = reference.sample_weighted_chisq(
-            reference.WeightedChiSq([0.5, 0.2]), randgen.derive_stream(13, ("nn",)), 1000)
-        assert d.min() >= 0.0
+    def test_one_weight_is_erf(self):
+        exact = [math.erf(math.sqrt(v / 2)) for v in self.x]
+        np.testing.assert_allclose(chisq_law([1.0]).cdf(self.x), exact, rtol=0, atol=1e-10)
 
-    def test_needs_at_least_one_draw(self):
-        with pytest.raises(ValueError):
-            reference.sample_weighted_chisq(
-                reference.WeightedChiSq([1.0]), randgen.derive_stream(14, ("e",)), 0)
+    def test_two_equal_weights_are_exponential(self):
+        np.testing.assert_allclose(chisq_law([1.0, 1.0]).cdf(self.x), 1.0 - np.exp(-self.x / 2),
+                                   rtol=0, atol=1e-10)
 
-    def test_chunked_draws_equal_one_shot_draw(self):
-        w = reference.WeightedChiSq(np.linspace(2.0, 0.1, 9))
-        n_mc = reference._MC_ROWS + 37
-        d = reference.sample_weighted_chisq(w, randgen.derive_stream(18, ("edge",)), n_mc)
-        one_shot = randgen.derive_stream(18, ("edge",)).chisq1((n_mc, 9)) @ w.weights
-        np.testing.assert_array_equal(d, one_shot)
+    def test_four_equal_weights_are_chisq4(self):
+        np.testing.assert_allclose(chisq_law(np.ones(4)).cdf(self.x),
+                                   1.0 - np.exp(-self.x / 2) * (1.0 + self.x / 2),
+                                   rtol=0, atol=1e-10)
 
-    def test_memory_does_not_grow_with_draws(self):
-        # a one-shot (1e5, 99) draw alone would hold 79 MB
-        w = reference.WeightedChiSq(1.0 / np.arange(1, 100))
-        peak = traced_peak_bytes(
-            lambda: reference.sample_weighted_chisq(w, randgen.derive_stream(19, ("mem",)),
-                                                    10**5))
-        assert peak < 8 * 2**20
+    @pytest.mark.parametrize("k", [10, 50, 100])
+    def test_many_equal_weights_are_chisq_k(self, k):
+        # chi-square(k) for even k: 1 - e^(-x/2) sum_{j < k/2} (x/2)^j / j!. The law is
+        # concentrated far from 0, where the fixed Talbot contour alone is off by up to 0.04
+        x = np.linspace(0.0, 3.0 * k, 301)[1:]
+        terms = np.cumprod(np.column_stack([np.ones_like(x)] +
+                                           [x / 2 / j for j in range(1, k // 2)]), axis=1)
+        exact = 1.0 - np.exp(-x / 2) * terms.sum(axis=1)
+        np.testing.assert_allclose(chisq_law(np.ones(k)).cdf(x), exact, rtol=0, atol=1e-10)
 
-    def test_matches_imhof_cdf_within_dkw_band(self):
-        w = reference.WeightedChiSq([2.0, 1.3, 0.9, 0.5, 0.3, 0.2, 0.1])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.3), (2.0, 1e-3)])
+    def test_two_unequal_weights(self, a, b):
+        # F(x) = 1 - (1/2pi) int_0^2pi exp(-x / (2 (a cos^2 phi + b sin^2 phi))) dphi; the
+        # integrand is periodic, so the trapezoid rule converges fast
+        phi = 2.0 * np.pi * np.arange(4000) / 4000
+        den = 2.0 * (a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2)
+        exact = 1.0 - np.exp(-self.x[:, None] / den).mean(axis=1)
+        np.testing.assert_allclose(chisq_law([a, b]).cdf(self.x), exact, rtol=0, atol=1e-10)
+
+    def test_matches_imhof_cdf(self):
+        law = chisq_law([2.0, 1.3, 0.9, 0.5, 0.3, 0.2, 0.1])
+        x = law.mean * np.array([0.2, 0.5, 1.0, 1.5, 2.5])
+        np.testing.assert_allclose(law.cdf(x), imhof_cdf(law.weights, x), rtol=0, atol=1e-10)
+
+    def test_matches_monte_carlo_within_dkw_band(self):
+        law = chisq_law([2.0, 1.3, 0.9, 0.5, 0.3, 0.2, 0.1])
         n_mc = 10**5
-        draws = np.sort(reference.sample_weighted_chisq(
-            w, randgen.derive_stream(20, ("imhof",)), n_mc))
-        x = w.mean * np.array([0.2, 0.5, 1.0, 1.5, 2.5])
+        draws = np.sort(sample_weighted_chisq(law.weights, 20, n_mc))
+        x = law.mean * np.linspace(0.05, 3.0, 60)
         ecdf = np.searchsorted(draws, x, side="right") / n_mc
         band = math.sqrt(math.log(200.0) / (2 * n_mc))  # 99% DKW
-        assert np.abs(ecdf - imhof_cdf(w.weights, x)).max() <= band
+        assert np.abs(ecdf - law.cdf(x)).max() <= band
+
+    def test_zero_and_below_are_exactly_zero(self):
+        f = chisq_law([1.0, 0.5]).cdf(np.array([0.0, -1.0, -np.inf]))
+        np.testing.assert_array_equal(f, [0.0, 0.0, 0.0])
+        assert chisq_law([1.0]).cdf(0.0) == 0.0
+
+    def test_point_mass_has_no_cdf(self):
+        with pytest.raises(ValueError, match="point mass"):
+            chisq_law([0.0, 0.0]).cdf(1.0)
+
+    def test_roundoff_weight_is_left_out(self):
+        # a weight below the relative floor (vbar's null eigenvalue, say) is
+        # roundoff; whether it lands at +1e-18 or 0 must not change F
+        f = [chisq_law([1.3, tiny]).cdf(self.x) for tiny in (1e-18, 0.0)]
+        np.testing.assert_array_equal(f[0], f[1])
+
+    def test_scale_invariance(self):
+        w = np.array([1.0, 0.4, 0.05])
+        base = chisq_law(w).cdf(self.x)
+        # a power of two scales the inverted law exactly; any other factor rounds
+        np.testing.assert_array_equal(chisq_law(2.0**40 * w).cdf(2.0**40 * self.x), base)
+        for c in (3.7, 1e-6, 1e298):
+            np.testing.assert_allclose(chisq_law(c * w).cdf(c * self.x), base, rtol=0,
+                                       atol=1e-12)
+
+    def test_monotone(self):
+        law = chisq_law(1.0 / np.arange(1, 100))
+        # strictly increasing where the steps are well above the 1e-10 accuracy
+        f = law.cdf(np.linspace(*law.quantile([1e-6, 1.0 - 1e-6]), 2000))
+        assert np.all(np.diff(f) > 0.0)
+        # and to within that accuracy at both ends, where F or 1 - F is O(1e-13)
+        f = law.cdf(np.linspace(0.0, law.tail_end, 5000))
+        assert np.all(np.diff(f) >= -1e-12) and 0.0 <= f.min() and f.max() <= 1.0
+
+    def test_memory_of_1000_points_at_99_weights(self):
+        # one (1000, 20, 99) complex array of every node and weight would hold 30 MB
+        law = chisq_law(1.0 / np.arange(1, 100))
+        x = np.linspace(0.01, 20.0, 1000)
+        law.cdf(x)  # first use of the code path
+        assert traced_peak_bytes(lambda: law.cdf(x)) < 2**20
+
+    def test_chisq1_quantiles(self):
+        np.testing.assert_allclose(chisq_law([1.0]).quantile([0.9, 0.95, 0.99]),
+                                   [2.705543, 3.841459, 6.634897], rtol=0, atol=1e-6)
+
+    def test_quantile_inverts_the_cdf(self):
+        law = chisq_law(1.0 / np.arange(1, 100))
+        p = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-9])
+        q = law.quantile(p)
+        assert q[0] < 1e-16 * law.tail_end and np.all(np.diff(q) > 0) and q[-1] < law.tail_end
+        np.testing.assert_allclose(law.cdf(q), p, rtol=0, atol=1e-12)
+
+    def test_tail_end_bounds_the_law(self):
+        for w in ([1.0], [1.0, 1e-4], np.ones(50), 1.0 / np.arange(1, 100)):
+            law = chisq_law(w)
+            assert 1.0 - law.cdf(law.tail_end) <= 1e-12
 
 
 class TestImhofOracle:
@@ -369,57 +417,39 @@ class TestImhofOracle:
                                    1.0 - np.exp(-self.x / 2) * (1.0 + self.x / 2), atol=1e-4)
 
 
-def unit_draws(weights, path, n_mc):
-    """A sorted sample of the unit-scaled law, as anticoncentration_check reads it."""
-    return np.sort(reference.sample_weighted_chisq(reference.WeightedChiSq(weights).unit(),
-                                                   randgen.derive_stream(5, path), n_mc))
-
-
 class TestAnticoncentration:
-    def test_single_weight_passes(self):
-        out = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**5), 0.01)
-        assert out["pass"]
-        assert out["bound"] == pytest.approx(np.sqrt(0.04 / np.pi))
-        assert 0.0 < out["max_window_prob"] <= out["bound"]
+    h = 0.01
 
-    def test_huge_window_vacuous(self):
-        out = reference.anticoncentration_check(unit_draws([1.0], ("ac", 2), 10**4), 100.0)
-        assert out["bound"] > 1.0 and out["pass"]
+    def test_single_weight_is_erf(self):
+        # one weight: the density falls from infinity at 0, so the top window is at 0
+        value = reference.max_window_prob(chisq_law([1.0]), self.h)
+        assert value == pytest.approx(math.erf(math.sqrt(self.h / 2)), rel=0, abs=1e-10)
+        assert value <= math.sqrt(4 * self.h / math.pi)
+
+    def test_huge_window_is_at_most_one(self):
+        assert reference.max_window_prob(chisq_law([1.0]), 100.0) <= 1.0
 
     def test_many_equal_weights_flatten_the_law(self):
-        one = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**5), 0.01)
-        many = reference.anticoncentration_check(
-            unit_draws(np.ones(50), ("ac", 50), 10**5), 0.01)
-        assert many["max_window_prob"] < 0.5 * one["max_window_prob"]
+        one = reference.max_window_prob(chisq_law([1.0]), self.h)
+        many = reference.max_window_prob(chisq_law(np.ones(50)).unit(), self.h)
+        assert many < 0.5 * one
 
     def test_scale_invariance(self):
-        a = reference.anticoncentration_check(unit_draws([5.0], ("ac", 1), 10**4), 0.01)
-        b = reference.anticoncentration_check(unit_draws([1.0], ("ac", 1), 10**4), 0.01)
-        assert a == b
+        a = reference.max_window_prob(chisq_law([5.0, 2.0]).unit(), self.h)
+        b = reference.max_window_prob(chisq_law([1.0, 0.4]).unit(), self.h)
+        assert a == pytest.approx(b, rel=0, abs=1e-12)
+
+    def test_interior_maximum_is_the_window_at_the_mode(self):
+        # three equal unit weights: chi-square(3) / sqrt(3), whose mode is 1/sqrt(3)
+        law = chisq_law(np.ones(3)).unit()
+        value = reference.max_window_prob(law, self.h)
+        t = np.linspace(0.3, 0.9, 6001)
+        assert value == pytest.approx((law.cdf(t + self.h) - law.cdf(t)).max(), rel=1e-3)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             reference.WeightedChiSq([0.0]).unit()
 
-    def test_does_not_reorder_the_sample(self):
-        draws = unit_draws([1.0, 0.5], ("ac", 5), 1000)
-        kept = draws.copy()
-        reference.anticoncentration_check(draws, 0.01)
-        np.testing.assert_array_equal(draws, kept)
-
-    def test_reads_the_sorted_sample_in_place(self):
-        # a sorted copy, or an isfinite mask of the whole sample, would be sample-sized
-        draws = unit_draws([1.0, 0.5], ("ac", 6), 10**5)
-        peak = traced_peak_bytes(lambda: reference.anticoncentration_check(draws, 0.01))
-        assert peak < 0.25 * draws.nbytes
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_sample_rejected(self, bad):
-        draws = unit_draws([1.0], ("ac", 7), 100)
-        draws[50] = bad
-        with pytest.raises(ValueError, match="finite"):
-            reference.anticoncentration_check(np.sort(draws), 0.01)
-
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError):
-            reference.anticoncentration_check(unit_draws([1.0], ("ac", 4), 100), 0.0)
+            reference.max_window_prob(chisq_law([1.0]), 0.0)
