@@ -32,12 +32,12 @@ from .reference import contraction_ratios
 W_VARIANCE = 0.5
 
 
-def draw_multipliers(streams, start: int, stop: int, rows: int | None = None) -> np.ndarray:
+def draw_multipliers(streams, start: int, stop: int, rows: int) -> np.ndarray:
     """The (rows, stop - start) multipliers of 0-based steps start..stop-1: a row per
     stream, then zero rows. Step 0 draws none (its column is zero), so any chunking
     yields the values of one scalar draw per step from t = 2 on."""
     first = 1 if start == 0 else 0
-    mult = np.zeros((len(streams) if rows is None else rows, stop - start))
+    mult = np.zeros((rows, stop - start))
     for row, stream in zip(mult, streams):
         stream.standard_normal(out=row[first:])
     mult *= np.sqrt(W_VARIANCE)

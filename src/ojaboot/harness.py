@@ -103,7 +103,8 @@ class ExperimentConfig:
         if self.trials < 1 or self.replicates < 1:
             raise ConfigError("need trials >= 1 and replicates >= 1")
         if self.mc_m_estimate < 1 or self.mc_chisq < 1:
-            raise ConfigError("Monte Carlo sizes must be >= 1")
+            raise ConfigError("mc_m_estimate and mc_chisq must be >= 1; they are only "
+                              "validated and echoed, no Monte Carlo estimate uses them")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
         if self.scale <= 0 or self.c < 0:
@@ -328,9 +329,8 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
                 w = np.concatenate([[0.0], st.normal(0.0, bootstrap.W_VARIANCE, n - 1)])
                 for name, args in (("hoeffding_exactness", {"sigma": mdl.sigma}),
                                    ("bootstrap_hoeffding_exactness", {"weights": w})):
-                    total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
-                    direct, den_d = hoeffding.direct_product(data, eta, args.get("weights"),
-                                                             exact=True)
+                    total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args)
+                    direct, den_d = hoeffding.direct_product(data, eta, args.get("weights"))
                     t, d, den = total * den_d, direct * den_t, den_t * den_d
                     err = 0.0 if (t == d).all() else math.sqrt(
                         np.sum((t - d) ** 2) / max(den * den, np.sum(d ** 2)))
@@ -366,6 +366,11 @@ def _check_anticoncentration(unit: reference.WeightedChiSq) -> dict:
 
 
 def _check_covariance_rate(config: ExperimentConfig) -> dict:
+    """The median |tr(cov - vbar)| at n = 500 over the same at n = 2000, d = min(d, 10),
+    21 datasets each, within [1.3, 5]. A rate shows only where the effective memory
+    1/(a(lambda1 - lambda2)), a = eta_n / n, is well below n (2.1 samples at the default
+    model, n = 500). Valid configs away from the default scale can exit 1: scale 2
+    fails on 8 of seeds 0-59, 21 datasets being too few there."""
     mdl = config.spectral_model(min(config.d, 10))
     medians = {}
     for n in (500, 2000):

@@ -75,11 +75,12 @@ def figure_runs(tmp_path_factory):
     return runs
 
 
-def test_criterion_01_hoeffding_exactness():
+def test_criterion_01_hoeffding_exactness(rounded):
     worst = 0.0
     for k, n, d, eta, mdl, data in _instances():
-        total, _ = hoeffding.hoeffding_sum(data, eta, sigma=mdl.sigma)
-        direct = hoeffding.direct_product(data, eta)
+        total, _, den = hoeffding.hoeffding_sum(data, eta, sigma=mdl.sigma)
+        total = rounded(total, den)
+        direct = rounded(*hoeffding.direct_product(data, eta))
         err = (linalg.frobenius_norm(total - direct)
                / max(1.0, linalg.frobenius_norm(direct)))
         worst = max(worst, err)
@@ -87,13 +88,14 @@ def test_criterion_01_hoeffding_exactness():
     assert worst <= 1e-10
 
 
-def test_criterion_02_bootstrap_hoeffding_exactness():
+def test_criterion_02_bootstrap_hoeffding_exactness(rounded):
     worst = 0.0
     for k, n, d, eta, mdl, data in _instances():
         w_stream = randgen.derive_stream(SEED, ("acc", "w", k))
         weights = np.concatenate([[0.0], w_stream.normal(0.0, 0.5, n - 1)])
-        total, _ = hoeffding.hoeffding_sum(data, eta, weights=weights)
-        direct = hoeffding.direct_product(data, eta, weights=weights)
+        total, _, den = hoeffding.hoeffding_sum(data, eta, weights=weights)
+        total = rounded(total, den)
+        direct = rounded(*hoeffding.direct_product(data, eta, weights=weights))
         err = (linalg.frobenius_norm(total - direct)
                / max(1.0, linalg.frobenius_norm(direct)))
         worst = max(worst, err)

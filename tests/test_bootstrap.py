@@ -81,7 +81,7 @@ class TestEnsembleStep:
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
         # and the stream's first draw belongs to the second step
-        mult = bootstrap.draw_multipliers([randgen.derive_stream(3, ("w", 0))], 0, 3)
+        mult = bootstrap.draw_multipliers([randgen.derive_stream(3, ("w", 0))], 0, 3, 1)
         assert mult[0, 0] == 0.0
         np.testing.assert_array_equal(
             mult[0, 1:], randgen.derive_stream(3, ("w", 0)).normal(0.0, 0.5, 2))
@@ -116,7 +116,7 @@ class TestEnsembleStep:
         prev = None
         for t in range(20):
             x = rng.standard_normal(4)
-            mult = bootstrap.draw_multipliers(streams, t, t + 1)
+            mult = bootstrap.draw_multipliers(streams, t, t + 1, len(streams))
             block = oja.advance(block, [x], 3.0 / 20, mult, prev)
             for i, w in enumerate(mult[:, 0]):
                 step = scalar_update(ref[i], x, x if prev is None else prev, 3.0 / 20,
@@ -133,7 +133,7 @@ class TestEnsembleStep:
         prev = None
         for t, x in enumerate(([1.3], [-0.4], [0.9], [2.0])):
             block = oja.advance(block, [x], 1.0 / 4,
-                                bootstrap.draw_multipliers(streams, t, t + 1), prev)
+                                bootstrap.draw_multipliers(streams, t, t + 1, len(streams)), prev)
             prev = np.array(x)
             np.testing.assert_allclose(np.abs(oja.unit_rows(block)[:, 0]), 1.0, atol=1e-12)
 
@@ -155,7 +155,7 @@ class TestEnsembleStep:
 
     def test_chunked_draws_equal_scalar_draws(self):
         streams = [randgen.derive_stream(5, ("w", i)) for i in range(3)]
-        chunks = np.hstack([bootstrap.draw_multipliers(streams, lo, hi)
+        chunks = np.hstack([bootstrap.draw_multipliers(streams, lo, hi, len(streams))
                             for lo, hi in ((0, 5), (5, 9), (9, 12))])
         for i, row in enumerate(chunks):
             s = randgen.derive_stream(5, ("w", i))
@@ -166,14 +166,14 @@ class TestEnsembleStep:
         streams = lambda: [randgen.derive_stream(6, ("w", i)) for i in range(2)]
         mult = bootstrap.draw_multipliers(streams(), 256, 300, rows=4)
         assert mult.shape == (4, 44) and not mult[2:].any()
-        np.testing.assert_array_equal(mult[:2], bootstrap.draw_multipliers(streams(), 256, 300))
+        np.testing.assert_array_equal(mult[:2], bootstrap.draw_multipliers(streams(), 256, 300, 2))
 
     def test_draws_equal_per_stream_draws_bitwise(self):
         # each row is drawn in place; the values are those of one draw of
         # stop - start values (one fewer at step 0) from the replicate's stream
         for start, stop in ((0, 256), (256, 300)):
             mult = bootstrap.draw_multipliers(
-                [randgen.derive_stream(6, ("w", i)) for i in range(4)], start, stop)
+                [randgen.derive_stream(6, ("w", i)) for i in range(4)], start, stop, 4)
             first = 1 if start == 0 else 0
             for i, row in enumerate(mult):
                 old = randgen.derive_stream(6, ("w", i)).normal(
@@ -238,7 +238,7 @@ class TestRunBootstrap:
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
 
-    def test_replicate_path_is_the_factor_product(self):
+    def test_replicate_path_is_the_factor_product(self, rounded):
         # prescribed W sequence: replicate equals the ordered-factor product on u0
         rng = np.random.default_rng(12)
         n, d = 6, 3
@@ -249,7 +249,7 @@ class TestRunBootstrap:
         # the first column meets a zero increment: x_1 stands in for its predecessor
         rep = oja.unit_rows(oja.advance(oja.start(u0, 1), data, eta_n / n, mult=wseq[None, :]))
         weights = np.concatenate([[0.0], wseq[1:]])
-        b = hoeffding.direct_product(data, eta_n, weights=weights)
+        b = rounded(*hoeffding.direct_product(data, eta_n, weights=weights))
         ref = oja.normalize(b @ u0)
         assert abs(rep[0] @ ref) >= 1.0 - 1e-10
 

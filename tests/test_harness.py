@@ -108,7 +108,12 @@ class TestExperimentConfig:
         dict(mc_m_estimate=0),
     ])
     def test_invalid_fields(self, bad):
-        with pytest.raises(harness.ConfigError):
+        unused = "mc_m_estimate and mc_chisq must be >= 1; they are only validated and echoed"
+        match = {"n": "n >= 2", "d": "d >= 2", "trials": "trials >= 1",
+                 "replicates": "replicates >= 1", "eta_rule": "eta_rule|eta rule",
+                 "master_seed": "master_seed must fit in 64 bits", "scale": "scale > 0",
+                 "c": "c >= 0", "mc_chisq": unused, "mc_m_estimate": unused}
+        with pytest.raises(harness.ConfigError, match=match[next(iter(bad))]):
             tiny_config(**bad)
 
     def test_from_dict_round_trip(self):
@@ -460,13 +465,25 @@ class TestVerify:
         orig = hoeffding.factor_pairs
 
         def flipped(*args, **kwargs):
-            return [(a, None if b is None else -b) for a, b in orig(*args, **kwargs)]
+            pairs, den = orig(*args, **kwargs)
+            return [(a, None if b is None else -b) for a, b in pairs], den
 
         monkeypatch.setattr(hoeffding, "factor_pairs", flipped)
         by_name = {c["name"]: c for c in harness.verify(tiny_config(d=6))["checks"]}
         assert not by_name["hoeffding_exactness"]["passed"]
         assert not by_name["bootstrap_hoeffding_exactness"]["passed"]
         assert by_name["orthogonality"]["passed"]
+
+    def test_orthogonality_fails_on_uncentred_increments(self, monkeypatch):
+        # sigma 2^-10 too large leaves E B_i = -2^-10 a sigma, far above the bound;
+        # evaluated exactly, no roundoff floor can hide it
+        sigma = model.DiscreteSpec.sigma
+        monkeypatch.setattr(model.DiscreteSpec, "sigma",
+                            property(lambda spec: sigma.fget(spec) * (1 + 2**-10)))
+        by_name = {c["name"]: c for c in harness.verify(tiny_config(d=6))["checks"]}
+        assert not by_name["orthogonality"]["passed"]
+        assert by_name["orthogonality"]["value"] > 1e-6
+        assert by_name["hoeffding_exactness"]["passed"]
 
     def test_draws_no_reference_chisq_sample(self, monkeypatch):
         # the chi-square checks read the exact CDF of the reference weights, and the
@@ -546,8 +563,8 @@ class TestVerify:
         cfg = harness.ExperimentConfig(c=30.0)
         mdl = cfg.spectral_model(3)
         data = model.sample_x(mdl, cfg.stream("verify", "hoeffding", 2), 4)
-        den_t = hoeffding.hoeffding_sum(data, 1.0, sigma=mdl.sigma, exact=True)[-1]
-        assert den_t != hoeffding.direct_product(data, 1.0, exact=True)[-1]
+        den_t = hoeffding.hoeffding_sum(data, 1.0, sigma=mdl.sigma)[-1]
+        assert den_t != hoeffding.direct_product(data, 1.0)[-1]
         checks = harness._check_hoeffding(cfg)
         assert [(c["value"], c["passed"]) for c in checks] == [(0.0, True)] * 2
 
@@ -573,10 +590,9 @@ class TestVerify:
                     data = model.sample_x(mdl, st, n)
                     w = np.concatenate([[0.0], st.normal(0.0, 0.5, n - 1)])
                     for key, args in (("sigma", {"sigma": mdl.sigma}), ("weights", {"weights": w})):
-                        total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
+                        total, _, den_t = hoeffding.hoeffding_sum(data, eta, **args)
                         t = fractions(total, den_t)
-                        dd = fractions(*hoeffding.direct_product(data, eta, args.get("weights"),
-                                                                 exact=True))
+                        dd = fractions(*hoeffding.direct_product(data, eta, args.get("weights")))
                         worst[key] = max(worst[key], math.sqrt(
                             np.sum((t - dd) ** 2) / max(1, np.sum(dd ** 2))))
                     case += 1

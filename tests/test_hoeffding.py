@@ -38,81 +38,85 @@ def as_fractions(numerators, den):
 
 
 class TestDirectProduct:
-    def test_empty_product_is_identity(self):
-        np.testing.assert_array_equal(
-            hoeffding.direct_product(np.zeros((0, 3)), eta_n=1.0), np.eye(3))
+    def test_zero_rows_are_rejected(self):
+        for oracle in (hoeffding.direct_product,
+                       lambda data, eta_n: hoeffding.hoeffding_sum(data, eta_n, sigma=np.eye(3))):
+            with pytest.raises(ValueError, match="n >= 1"):
+                oracle(np.zeros((0, 3)), eta_n=1.0)
 
-    def test_single_factor(self):
+    def test_single_factor(self, rounded):
         x = np.array([1.0, 2.0])
-        got = hoeffding.direct_product(x[None, :], eta_n=0.7)
+        got = rounded(*hoeffding.direct_product(x[None, :], eta_n=0.7))
         np.testing.assert_allclose(got, np.eye(2) + 0.7 * np.outer(x, x))
 
-    def test_order_sensitivity(self):
+    def test_order_sensitivity(self, rounded):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((2, 3))
-        fwd = hoeffding.direct_product(data, eta_n=1.0)
-        rev = hoeffding.direct_product(data[::-1], eta_n=1.0)
+        fwd = rounded(*hoeffding.direct_product(data, eta_n=1.0))
+        rev = rounded(*hoeffding.direct_product(data[::-1], eta_n=1.0))
         assert np.linalg.norm(fwd - rev) > 1e-8
 
-    def test_sample_one_acts_first(self):
+    def test_sample_one_acts_first(self, rounded):
         x1 = np.array([1.0, 0.0])
         x2 = np.array([1.0, 1.0])
-        got = hoeffding.direct_product(np.stack([x1, x2]), eta_n=2.0)
+        got = rounded(*hoeffding.direct_product(np.stack([x1, x2]), eta_n=2.0))
         f1 = np.eye(2) + np.outer(x1, x1)
         f2 = np.eye(2) + np.outer(x2, x2)
         np.testing.assert_allclose(got, f2 @ f1)
 
 
 class TestHoeffdingTerm:
-    def test_empty_subset(self):
+    def test_empty_subset(self, rounded):
         rng = np.random.default_rng(2)
         sigma = linalg.sym(rng.standard_normal((3, 3)))
         data = rng.standard_normal((4, 3))
-        pairs = hoeffding.factor_pairs(data, 1.2, sigma=sigma)
+        pairs, den = hoeffding.factor_pairs(data, 1.2, sigma=sigma)
         expected = np.linalg.matrix_power(np.eye(3) + 0.3 * sigma, 4)
-        np.testing.assert_allclose(hoeffding.hoeffding_term(pairs, frozenset()), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(rounded(hoeffding.hoeffding_term(pairs, frozenset()), den**4),
+                                   expected, atol=1e-12)
 
-    def test_single_index_n1(self):
+    def test_single_index_n1(self, rounded):
         x = np.array([2.0, -1.0])
         sigma = np.diag([1.0, 1.0])
-        pairs = hoeffding.factor_pairs(x[None, :], 0.9, sigma=sigma)
-        np.testing.assert_allclose(
-            hoeffding.hoeffding_term(pairs, frozenset({1})), 0.9 * (np.outer(x, x) - sigma))
+        pairs, den = hoeffding.factor_pairs(x[None, :], 0.9, sigma=sigma)
+        np.testing.assert_allclose(rounded(hoeffding.hoeffding_term(pairs, frozenset({1})), den),
+                                   0.9 * (np.outer(x, x) - sigma))
 
-    def test_middle_index_n3(self):
+    def test_middle_index_n3(self, rounded):
         rng = np.random.default_rng(3)
         sigma = linalg.sym(rng.standard_normal((2, 2)))
         data = rng.standard_normal((3, 2))
         a = 0.6 / 3
         base = np.eye(2) + a * sigma
         expected = base @ (a * (np.outer(data[1], data[1]) - sigma)) @ base
-        pairs = hoeffding.factor_pairs(data, 0.6, sigma=sigma)
-        np.testing.assert_allclose(hoeffding.hoeffding_term(pairs, frozenset({2})), expected,
-                                   atol=1e-13)
+        pairs, den = hoeffding.factor_pairs(data, 0.6, sigma=sigma)
+        got = rounded(hoeffding.hoeffding_term(pairs, frozenset({2})), den**3)
+        np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_subset_bounds_validated(self):
-        pairs = hoeffding.factor_pairs(np.zeros((3, 2)), 1.0, sigma=np.eye(2))
+        pairs, _ = hoeffding.factor_pairs(np.zeros((3, 2)), 1.0, sigma=np.eye(2))
         with pytest.raises(ValueError):
             hoeffding.hoeffding_term(pairs, frozenset({5}))
 
 
 class TestHoeffdingSum:
-    def test_n1_binomial_identity(self):
+    def test_n1_binomial_identity(self, rounded):
         x = np.array([1.5, -0.5])
         sigma = np.diag([2.0, 1.0])
-        total, terms = hoeffding.hoeffding_sum(x[None, :], eta_n=0.8, sigma=sigma)
-        np.testing.assert_allclose(total, np.eye(2) + 0.8 * np.outer(x, x), atol=1e-14)
-        np.testing.assert_allclose(terms[0], np.eye(2) + 0.8 * sigma)
-        np.testing.assert_allclose(terms[1], 0.8 * (np.outer(x, x) - sigma))
+        total, terms, den = hoeffding.hoeffding_sum(x[None, :], eta_n=0.8, sigma=sigma)
+        np.testing.assert_allclose(rounded(total, den), np.eye(2) + 0.8 * np.outer(x, x),
+                                   atol=1e-14)
+        np.testing.assert_allclose(rounded(terms[0], den), np.eye(2) + 0.8 * sigma)
+        np.testing.assert_allclose(rounded(terms[1], den), 0.8 * (np.outer(x, x) - sigma))
 
     @pytest.mark.parametrize("n,d,eta_n", [(4, 3, 1.0), (6, 2, np.log(6)), (8, 4, 0.5)])
-    def test_decomposition_identity(self, n, d, eta_n):
+    def test_decomposition_identity(self, n, d, eta_n, rounded):
         rng = np.random.default_rng(10 * n + d)
         data = rng.standard_normal((n, d)) * 1.3
         sigma = linalg.sym(rng.standard_normal((d, d)))
-        total, terms = hoeffding.hoeffding_sum(data, eta_n, sigma=sigma)
-        b = hoeffding.direct_product(data, eta_n)
+        total, terms, den = hoeffding.hoeffding_sum(data, eta_n, sigma=sigma)
+        total = rounded(total, den)
+        b = rounded(*hoeffding.direct_product(data, eta_n))
         assert np.linalg.norm(total - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
         assert len(terms) == n + 1
 
@@ -125,27 +129,24 @@ class TestHoeffdingSum:
             sum_args, product_args = {"sigma": linalg.sym(rng.standard_normal((3, 3)))}, {}
         else:
             sum_args = product_args = {"weights": rng.standard_normal(n)}
-        total, _, den_t = hoeffding.hoeffding_sum(data, np.log(n), **sum_args, exact=True)
-        b = as_fractions(*hoeffding.direct_product(data, np.log(n), **product_args, exact=True))
+        total, _, den_t = hoeffding.hoeffding_sum(data, np.log(n), **sum_args)
+        b = as_fractions(*hoeffding.direct_product(data, np.log(n), **product_args))
         total = as_fractions(total, den_t)
         assert np.array_equal(total, b)
-        np.testing.assert_allclose(b.astype(float),
-                                   hoeffding.direct_product(data, np.log(n), **product_args),
-                                   rtol=1e-12)
 
     def test_exact_sum_rejects_a_float_term(self, monkeypatch):
         monkeypatch.setattr(hoeffding, "hoeffding_term",
                             lambda pairs, s: np.ones((2, 2)) if s else np.zeros((2, 2)))
         with pytest.raises(TypeError, match="float"):
-            hoeffding.hoeffding_sum(np.ones((2, 2)), 1.0, sigma=np.eye(2), exact=True)
+            hoeffding.hoeffding_sum(np.ones((2, 2)), 1.0, sigma=np.eye(2))
 
-    def test_t0_always_the_sigma_power(self):
+    def test_t0_always_the_sigma_power(self, rounded):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((5, 2))
         sigma = np.diag([1.0, 0.3])
-        _, terms = hoeffding.hoeffding_sum(data, eta_n=2.0, sigma=sigma)
+        _, terms, den = hoeffding.hoeffding_sum(data, eta_n=2.0, sigma=sigma)
         np.testing.assert_allclose(
-            terms[0], np.linalg.matrix_power(np.eye(2) + 0.4 * sigma, 5), atol=1e-12)
+            rounded(terms[0], den), np.linalg.matrix_power(np.eye(2) + 0.4 * sigma, 5), atol=1e-12)
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -155,15 +156,18 @@ class TestHoeffdingSum:
             hoeffding.hoeffding_sum(np.zeros((20, 2)), 1.0, sigma=np.eye(2))
 
 
+def exact(a):
+    """Each float of a as the Fraction of its exact value."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
+
+
+def product(factors):  # factors[0] acts first
+    return functools.reduce(lambda out, f: f @ out, factors)
+
+
 def fraction_oracle(data, eta_n, sigma=None, weights=None):
     """(direct product, subset sum) in Fractions throughout, from each input
     float's exact value: the reference for the integer evaluation."""
-    def exact(a):
-        return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
-
-    def product(factors):  # factors[0] acts first
-        return functools.reduce(lambda out, f: f @ out, factors)
-
     x = exact(data)
     n, d = x.shape
     a = Fraction(eta_n) / n
@@ -196,9 +200,8 @@ class TestExactAgainstFractions:
                 else {"weights": stream.normal(0.0, 0.5, n)})
         eta = float(np.log(n + 1))
         direct, total = fraction_oracle(data, eta, **args)
-        got_total, terms, den = hoeffding.hoeffding_sum(data, eta, **args, exact=True)
-        got_direct = as_fractions(*hoeffding.direct_product(data, eta, args.get("weights"),
-                                                            exact=True))
+        got_total, terms, den = hoeffding.hoeffding_sum(data, eta, **args)
+        got_direct = as_fractions(*hoeffding.direct_product(data, eta, args.get("weights")))
         got_total, terms = as_fractions(got_total, den), [as_fractions(t, den) for t in terms]
         assert np.array_equal(got_direct, direct)
         assert np.array_equal(got_total, total)
@@ -206,32 +209,56 @@ class TestExactAgainstFractions:
 
 
 class TestBootstrapHoeffding:
-    def test_zero_weights_collapse_to_plain_product(self):
+    def test_zero_weights_collapse_to_plain_product(self, rounded):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((5, 2))
-        total, _ = hoeffding.hoeffding_sum(data, eta_n=1.1, weights=np.zeros(5))
-        np.testing.assert_allclose(total, hoeffding.direct_product(data, 1.1), atol=1e-12)
+        total, _, den = hoeffding.hoeffding_sum(data, eta_n=1.1, weights=np.zeros(5))
+        np.testing.assert_allclose(rounded(total, den),
+                                   rounded(*hoeffding.direct_product(data, 1.1)), atol=1e-12)
 
-    def test_zero_increment_collapses(self):
+    def test_zero_increment_collapses(self, rounded):
         x = np.array([1.0, 0.5])
         data = np.stack([x, x])
-        total, _ = hoeffding.hoeffding_sum(data, eta_n=0.9, weights=np.array([0.0, 1.0]))
-        np.testing.assert_allclose(total, hoeffding.direct_product(data, 0.9), atol=1e-12)
+        total, _, den = hoeffding.hoeffding_sum(data, eta_n=0.9, weights=np.array([0.0, 1.0]))
+        np.testing.assert_allclose(rounded(total, den),
+                                   rounded(*hoeffding.direct_product(data, 0.9)), atol=1e-12)
 
     @pytest.mark.parametrize("n,d", [(5, 2), (6, 3)])
-    def test_decomposition_identity(self, n, d):
+    def test_decomposition_identity(self, n, d, rounded):
         rng = np.random.default_rng(100 + n)
         data = rng.standard_normal((n, d))
         weights = rng.standard_normal(n)
-        total, terms = hoeffding.hoeffding_sum(data, eta_n=np.log(n), weights=weights)
-        direct = hoeffding.direct_product(data, eta_n=np.log(n), weights=weights)
-        assert rel_frob(total, direct) <= 1e-10
+        total, terms, den = hoeffding.hoeffding_sum(data, eta_n=np.log(n), weights=weights)
+        direct = rounded(*hoeffding.direct_product(data, eta_n=np.log(n), weights=weights))
+        assert rel_frob(rounded(total, den), direct) <= 1e-10
         assert len(terms) == n
 
     def test_index_one_never_in_subset(self):
-        pairs = hoeffding.factor_pairs(np.ones((2, 2)), 1.0, weights=np.ones(2))
+        pairs, _ = hoeffding.factor_pairs(np.ones((2, 2)), 1.0, weights=np.ones(2))
         with pytest.raises(ValueError, match="index 1"):
             hoeffding.hoeffding_term(pairs, frozenset({1}))
+
+
+def verify_law():
+    """The lopsided two-point law of verify's orthogonality check."""
+    return model.DiscreteSpec(np.array([[1.2, 0.5], [-0.6, -0.25]]), np.array([1 / 3, 2 / 3]))
+
+
+def fraction_orthogonality(spec, n, eta_n):
+    """orthogonality_table in Fractions throughout, from each input float's exact
+    value, rounded once at the end."""
+    s = exact(linalg.sym(spec.sigma))
+    a = Fraction(eta_n) / n
+    base = np.eye(s.shape[0], dtype=object) + a * s
+    subsets = [set(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    gram = np.zeros((len(subsets), len(subsets)), dtype=object)
+    for outcome, p in model.enumerate_outcomes(spec, n):
+        incs = [a * (np.outer(r, r) - s) for r in exact(outcome)]
+        flat = [product([incs[i] if i in sub else base for i in range(n)]).ravel()
+                for sub in subsets]
+        gram += Fraction(p) * np.array([[f @ g for g in flat] for f in flat], dtype=object)
+    return float(max(abs(gram[i, j]) for i in range(len(subsets))
+                     for j in range(len(subsets)) if i != j))
 
 
 class TestOrthogonality:
@@ -244,20 +271,27 @@ class TestOrthogonality:
         assert hoeffding.orthogonality_table(spec, n=4, eta_n=1.3) <= 1e-10
         assert hoeffding.orthogonality_table(three_point_law(), n=4, eta_n=1.3) <= 1e-10
 
-    def test_diagonal_energy_positive(self):
+    @pytest.mark.parametrize("spec, n", [(three_point_law(), 2), (three_point_law(), 3),
+                                         (verify_law(), 4)], ids=["three-point-2", "three-point-3",
+                                                                  "verify-4"])
+    def test_equals_the_fraction_oracle(self, spec, n):
+        assert hoeffding.orthogonality_table(spec, n, eta_n=1.0) == fraction_orthogonality(
+            spec, n, eta_n=1.0)
+
+    def test_diagonal_energy_positive(self, rounded):
         # E ||H(S)||_F^2 > 0 for S != empty when the law has nonzero variance
         spec = three_point_law()
         n = 3
         energy = 0.0
         for outcome, p in model.enumerate_outcomes(spec, n):
-            pairs = hoeffding.factor_pairs(outcome, 1.0, sigma=spec.sigma)
-            term = hoeffding.hoeffding_term(pairs, frozenset({2}))
+            pairs, den = hoeffding.factor_pairs(outcome, 1.0, sigma=spec.sigma)
+            term = rounded(hoeffding.hoeffding_term(pairs, frozenset({2})), den**n)
             energy += p * np.sum(term * term)
         assert energy > 1e-6
 
 
 class TestEnergyDecay:
-    def test_geometric_decay_bound(self):
+    def test_geometric_decay_bound(self, rounded):
         # ratio bound eta_n^2 M_d / n with exact M_d over the support
         spec = three_point_law()
         eta_n, n = 0.5, 4
@@ -267,8 +301,9 @@ class TestEnergyDecay:
         assert bound < 1.0
         energies = np.zeros(n + 1)
         for outcome, p in model.enumerate_outcomes(spec, n):
-            _, terms = hoeffding.hoeffding_sum(outcome, eta_n, sigma=spec.sigma)
+            _, terms, den = hoeffding.hoeffding_sum(outcome, eta_n, sigma=spec.sigma)
             for k, t in enumerate(terms):
+                t = rounded(t, den)
                 energies[k] += p * np.sum(t * t)
         ratios = energies[1:] / energies[:-1]
         assert np.all(ratios <= bound)
@@ -306,7 +341,7 @@ class TestHajekTermV1:
         np.testing.assert_allclose(got, np.zeros(2), atol=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_projected_enumerated_t1(self, seed):
+    def test_matches_projected_enumerated_t1(self, seed, rounded):
         rng = np.random.default_rng(seed)
         n, d = 3, 2
         raw = rng.standard_normal((d, d))
@@ -314,8 +349,9 @@ class TestHajekTermV1:
         data = rng.standard_normal((n, d))
         eta_n = 1.1
         a = eta_n / n
-        _, terms = hoeffding.hoeffding_sum(data, eta_n, sigma=m.sigma)
-        target = m.v_perp @ (m.v_perp.T @ (terms[1] @ m.v1)) / (1 + a * m.lambda1) ** n
+        _, terms, den = hoeffding.hoeffding_sum(data, eta_n, sigma=m.sigma)
+        t1 = rounded(terms[1], den)
+        target = m.v_perp @ (m.v_perp.T @ (t1 @ m.v1)) / (1 + a * m.lambda1) ** n
         got = hajek_term_v1(data, m, eta_n)
         assert np.linalg.norm(got - target) <= 1e-10
 

@@ -66,23 +66,23 @@ class TestRun:
         w = zero_row(np.zeros((0, 3)), 1.0, [2.0, 0.0, 0.0])
         np.testing.assert_allclose(w, [1.0, 0.0, 0.0])
 
-    def test_matches_matrix_product_small(self):
+    def test_matches_matrix_product_small(self, rounded):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((3, 3))
         u0 = rng.standard_normal(3)
         w = zero_row(data, 1.7 / 3, u0)
-        b = hoeffding.direct_product(data, eta_n=1.7)
+        b = rounded(*hoeffding.direct_product(data, eta_n=1.7))
         ref = b @ (u0 / np.linalg.norm(u0))
         ref /= np.linalg.norm(ref)
         assert abs(w @ ref) >= 1.0 - 1e-10
 
-    def test_matches_matrix_product_longer(self):
+    def test_matches_matrix_product_longer(self, rounded):
         # power-of-two rescaling only rescales: same direction as the raw product
         rng = np.random.default_rng(5)
         data = rng.standard_normal((50, 4))
         u0 = rng.standard_normal(4)
         w = zero_row(data, 2.0 / 50, u0)
-        b = hoeffding.direct_product(data, eta_n=2.0)
+        b = rounded(*hoeffding.direct_product(data, eta_n=2.0))
         ref = b @ u0
         ref /= np.linalg.norm(ref)
         assert abs(w @ ref) >= 1.0 - 1e-9
