@@ -340,9 +340,9 @@ def _check_hoeffding(config: ExperimentConfig) -> list:
 
 
 def _check_orthogonality(config: ExperimentConfig) -> dict:
-    # lopsided two-point mean-zero law so the centered factor does not vanish
-    sup = np.array([[1.2, 0.5], [-0.6, -0.25]])
-    spec = model.DiscreteSpec(sup, np.array([1 / 3, 2 / 3]))
+    # lopsided (the centered factor does not vanish), mean-zero, dyadic (no input rounding)
+    sup = np.array([[1.5, 0.75], [-0.5, -0.25]])
+    spec = model.DiscreteSpec(sup, np.array([0.25, 0.75]))
     return _check("orthogonality", hoeffding.orthogonality_table(spec, n=4, eta_n=1.0), 1e-10)
 
 
@@ -392,11 +392,9 @@ def _check_vbar_closed_form(config: ExperimentConfig) -> dict:
     m = raw @ raw.T
     lp = reference.contraction_ratios(mdl, eta, n)
     closed = reference.assemble_vbar(m, lp, eta, n, mdl.v_perp)
-    brute = np.zeros((9, 9))
-    for i in range(1, n + 1):
-        dia = np.diag(lp ** (i - 1))
-        brute += dia @ m @ dia
-    brute = (eta / n) * mdl.v_perp @ brute @ mdl.v_perp.T
+    powers = lp ** np.arange(n)[:, None]
+    brute = (eta / n) * np.einsum("ik,kl,jl->ij", mdl.v_perp,
+                                  m * np.einsum("tk,tl->kl", powers, powers), mdl.v_perp)
     rel = (linalg.frobenius_norm(closed - brute)
            / max(linalg.frobenius_norm(brute), 1e-300))
     return _check("vbar_closed_form", rel, 1e-10)

@@ -12,7 +12,12 @@ plain d x d array (`build_reference`), and its spectrum is the weight vector
 of a `WeightedChiSq`.
 
 The law is exact, never sampled. Its CDF F inverts Phi(s) = E e^(-sQ) =
-prod_r (1 + 2 w_r s)^(-1/2), log Phi on the principal branch, in one of two ways:
+prod_r (1 + 2 w_r s)^(-1/2), log Phi summed in real arithmetic: with p = 2w Re s and
+q = 2w Im s, log(1 + 2ws) = log1p(p(2 + p) + q^2) / 2 + i atan2(q, 1 + p), complex log1p's
+principal branch, also where Re(1 + 2ws) < 0 (Talbot's nodes past theta = pi/2). An s past
+2^500 is first halved k times to below it; as every weight kept has 2w > 1e-8, 2w|s| > 1e142
+there, so log|1 + 2ws| = log|1 + 2w 2^-k s| + k log 2 to the last bit, and no square
+overflows up to Talbot's |s| = 0.4 M / 1e-300. F is then found in one of two ways:
 - Gil-Pelaez as Davies (1973, Biometrika 60) sums it, with phi(u) = Phi(-iu):
   F(x) = 1/2 - (1/pi) sum_{k>=0} Im(phi(u_k) e^(-i u_k x)) / (k + 1/2) for
   u_k = (k + 1/2) pi / T, where P(Q > T) <= e^-40 bounds the aliasing error. As
@@ -51,7 +56,7 @@ _TIE_TOL = 1e-12
 # roundoff that the CDF leaves out
 _WEIGHT_FLOOR_RTOL = 1e-8
 _TALBOT_NODES, _GP_TERMS, _GP_TAIL = 20, 4096, 1e-12
-# each inversion holds a few (x, node) arrays of at most 2^13 values: 128 KiB complex
+# each inversion holds about ten (x, node) arrays of at most 2^13 values: under 1 MiB
 _CHUNK = 2**13
 # x below this, at a largest weight in [1/2, 1), is read as this: F < 1e-150 there
 _X_FLOOR = 1e-300
@@ -61,11 +66,18 @@ _TAIL_T, _BISECTIONS = 40.0, 64
 
 
 def _log_phi(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """log Phi at each s, summed a weight at a time: never an (s, weight) array."""
-    acc, term = np.zeros_like(s), np.empty_like(s)
+    """log Phi at each s, a weight at a time (module docstring): never an (s, weight) array."""
+    k = np.maximum(np.frexp(np.abs(s))[1] - 500, 0)
+    sr, si, p, q, t = np.ldexp(s.real, -k), np.ldexp(s.imag, -k), *np.empty((3, *s.shape))
+    mod, arg = (2.0 * np.log(2.0) * w.size) * k, np.zeros(s.shape)  # mod sums 2 log|1 + 2ws|
     for wr in w:
-        acc += np.log1p(np.multiply(s, 2.0 * wr, out=term), out=term)
-    return -0.5 * acc
+        np.multiply(sr, 2.0 * wr, out=p)
+        np.multiply(si, 2.0 * wr, out=q)
+        np.multiply(np.add(p, 2.0, out=t), p, out=t)
+        arg += np.arctan2(q, np.add(p, 1.0, out=p), out=p)
+        mod += np.log1p(np.add(t, np.square(q, out=q), out=t), out=t)
+    del sr, si, p, q, t  # the chunk's peak is then that of the loop
+    return -0.25 * mod - 0.5j * arg
 
 
 def _gil_pelaez_terms(w: np.ndarray, end: float):

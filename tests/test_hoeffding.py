@@ -240,8 +240,8 @@ class TestBootstrapHoeffding:
 
 
 def verify_law():
-    """The lopsided two-point law of verify's orthogonality check."""
-    return model.DiscreteSpec(np.array([[1.2, 0.5], [-0.6, -0.25]]), np.array([1 / 3, 2 / 3]))
+    """The lopsided two-point law of verify's orthogonality check, dyadic throughout."""
+    return model.DiscreteSpec(np.array([[1.5, 0.75], [-0.5, -0.25]]), np.array([0.25, 0.75]))
 
 
 def fraction_orthogonality(spec, n, eta_n):
@@ -277,6 +277,11 @@ class TestOrthogonality:
     def test_equals_the_fraction_oracle(self, spec, n):
         assert hoeffding.orthogonality_table(spec, n, eta_n=1.0) == fraction_orthogonality(
             spec, n, eta_n=1.0)
+
+    def test_verify_law_reads_exactly_zero(self):
+        # its probabilities, support and covariance are exact in binary, so the exact
+        # table has no input rounding to measure
+        assert hoeffding.orthogonality_table(verify_law(), n=4, eta_n=1.0) == 0.0
 
     def test_diagonal_energy_positive(self, rounded):
         # E ||H(S)||_F^2 > 0 for S != empty when the law has nonzero variance

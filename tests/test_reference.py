@@ -295,6 +295,50 @@ def sample_weighted_chisq(weights, seed, n_mc, rows=512):
 chisq_law = reference.WeightedChiSq
 
 
+def complex_log_phi(w, s):
+    """log Phi(s) = -1/2 sum_r log(1 + 2 w_r s) in complex arithmetic, numpy's log1p on
+    the principal branch: the oracle for the real kernel."""
+    return -0.5 * sum(np.log1p(2.0 * wr * s) for wr in w)
+
+
+class TestLogPhi:
+    # weights as cdf scales them, the largest in [1/2, 1)
+    w = chisq_law(1.0 / np.arange(1, 100))._inversion[1]
+
+    def test_matches_complex_log1p_at_random_s(self):
+        rng = np.random.default_rng(33)
+        s = 10.0 ** rng.uniform(-8.0, 8.0, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+        np.testing.assert_allclose(reference._log_phi(self.w, s), complex_log_phi(self.w, s),
+                                   rtol=0, atol=1e-12)
+
+    def test_matches_complex_log1p_past_the_scaling_point(self):
+        # up to |s| = 0.4 M / 1e-300, Talbot's nodes at the smallest x cdf reads
+        rng = np.random.default_rng(34)
+        s = 10.0 ** rng.uniform(140.0, 300.9, 500) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
+        np.testing.assert_allclose(reference._log_phi(self.w, s), complex_log_phi(self.w, s),
+                                   rtol=1e-14, atol=0)
+
+    def test_matches_complex_log1p_at_the_inversion_nodes(self):
+        # Talbot's nodes r (theta cot theta + i theta); past theta = pi/2, Re(1 + 2ws) < 0
+        # for the largest weights, and arg(1 + 2ws) nears pi. Davies' nodes are -iu.
+        theta = np.pi * np.arange(1, 20) / 20
+        u = np.concatenate(([1.0], theta / np.tan(theta) + 1j * theta))
+        talbot = np.multiply.outer(np.geomspace(1e-8, 1e8, 200), u)
+        assert (1.0 + 2.0 * self.w[0] * talbot).real.min() < 0.0
+        davies = -1j * np.geomspace(1e-8, 1e8, 500)
+        for s in (talbot, davies):
+            np.testing.assert_allclose(reference._log_phi(self.w, s),
+                                       complex_log_phi(self.w, s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("w", [[1.0], [1.0, 0.5], [1.0] + [1e-3] * 99],
+                             ids=["one", "two", "dominant-and-bulk"])
+    def test_cdf_at_tiny_x_neither_overflows_nor_divides_by_zero(self, w):
+        # x = 1e-300 puts Talbot's nodes at |s| ~ 1e301, where (2ws)^2 would overflow
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = chisq_law(w).cdf(np.array([1e-300, 1e-200, 1e-20]))
+        assert np.all((f >= 0.0) & (f <= 1e-10))
+
+
 class TestChisqCdf:
     x = np.linspace(0.0, 30.0, 301)[1:]
 
