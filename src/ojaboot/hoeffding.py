@@ -1,10 +1,12 @@
 """Exact subset-enumeration oracles for decomposing the streamed matrix products.
 
-The Oja run applies F_n ... F_1 to u0 (sample 1 acts first; `ordered_product`
-composes every product here that way). Writing each factor as a pair
-F_i = A_i + B_i and distributing gives one term per subset S of the indices
-with an increment B_i: the product is sum_S H(S), where H(S) has B_i at i in S
-and A_i elsewhere. `factor_pairs` builds the pairs once per sum; a = eta_n / n.
+The Oja run applies F_n ... F_1 to u0 (sample 1 acts first, as in every product
+here). Writing each factor as a pair F_i = A_i + B_i and distributing gives one
+term per subset S of the indices with an increment B_i: the product is
+sum_S H(S), where H(S) has B_i at i in S and A_i elsewhere. `factor_pairs`
+builds the pairs once per sum; a = eta_n / n. `subset_terms` builds every H(S)
+depth first: each prefix over indices 1..i is its parent's over 1..i-1 times
+A_i or B_i, one product shared by every subset under it.
 
 - Plain, F_i = I + a X_i X_i^T: A_i = I + a Sigma, B_i = a(X_i X_i^T - Sigma).
   The order-k sums T_k = sum_{|S|=k} H(S) are mutually orthogonal in
@@ -29,24 +31,12 @@ denominator returned with it.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import linalg
 from .model import ENUMERATION_CAP, DiscreteSpec, enumerate_outcomes
-
-
-def ordered_product(factors) -> np.ndarray:
-    """Compose factors so that factors[0] acts first: factors[-1] @ ... @ factors[0]."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need the dimension from at least one factor")
-    out = factors[0].copy()
-    for f in factors[1:]:
-        out = f @ out
-    return out
 
 
 def _dyadic(a):
@@ -65,8 +55,8 @@ def _integers(m: np.ndarray) -> np.ndarray:
 
 
 def _prepare(data, eta_n: float, sigma, weights):
-    """(rows, a, sigma, aw, eye, den): every factor and pair is a sum of eye,
-    a x_i x_i^T, a sigma and aw_i Delta_i over den, x_i the rows, all integers.
+    """(outer, a, sigma, aw, eye, den): every factor and pair is a sum of eye,
+    a x_i x_i^T, a sigma and aw_i Delta_i over den, outer the x_i x_i^T, all integers.
     With eta_n = e / q_e, W = w / q_w and u the least power of two that makes
     u X and u^2 sigma integers, den = n q_e q_w u^2 and the parts are u X,
     a = e q_w, u^2 sigma and aw = e w."""
@@ -84,20 +74,23 @@ def _prepare(data, eta_n: float, sigma, weights):
     w, qw = (None, 1) if weights is None else _dyadic(weights)
     u = max(qx, 1 << (qs.bit_length() // 2))
     den = n * qe * qw * u * u
-    return (x * (u // qx), e * qw, None if s is None else s * (u * u // qs),
+    return ([np.outer(r, r) for r in x * (u // qx)], e * qw,
+            None if s is None else s * (u * u // qs),
             None if w is None else e * w, den * np.eye(d, dtype=object), den)
 
 
 def direct_product(data, eta_n: float, weights=None):
     """(numerators, den): F_n ... F_1 with F_i = I + a X_i X_i^T, plus
     a W_i Delta_i for i >= 2 when weights are given."""
-    rows, a, _, aw, eye, den = _prepare(data, eta_n, None, weights)
-    outer = [np.outer(x, x) for x in rows]
+    outer, a, _, aw, eye, den = _prepare(data, eta_n, None, weights)
     factors = [eye + a * xx for xx in outer]
     if aw is not None:  # no sample precedes F_1
         factors[1:] = [f + aw[i] * (outer[i] - outer[i - 1])
                        for i, f in enumerate(factors[1:], 1)]
-    return _integers(ordered_product(factors)), den ** len(factors)
+    out = factors[0]
+    for f in factors[1:]:
+        out = f @ out
+    return _integers(out), den ** len(factors)
 
 
 def factor_pairs(data, eta_n: float, sigma=None, weights=None):
@@ -106,8 +99,7 @@ def factor_pairs(data, eta_n: float, sigma=None, weights=None):
     den. Exactly one of sigma and weights is given."""
     if (sigma is None) == (weights is None):
         raise ValueError("give exactly one of sigma (plain) and weights (bootstrap)")
-    rows, a, sigma, aw, eye, den = _prepare(data, eta_n, sigma, weights)
-    outer = [np.outer(x, x) for x in rows]
+    outer, a, sigma, aw, eye, den = _prepare(data, eta_n, sigma, weights)
     if aw is None:
         base = eye + a * sigma
         return [(base, a * (xx - sigma)) for xx in outer], den
@@ -115,14 +107,21 @@ def factor_pairs(data, eta_n: float, sigma=None, weights=None):
             for i, xx in enumerate(outer)], den
 
 
-def hoeffding_term(pairs, s) -> np.ndarray:
-    """H(S): the ordered product of B_i for i in s (1-based) and A_i elsewhere,
-    numerators over den ** len(pairs) for pairs over den."""
-    for i in s:
-        if not 1 <= i <= len(pairs) or pairs[i - 1][1] is None:
-            raise ValueError(f"index {i} is not within 1..{len(pairs)} or has no increment "
-                             "(bootstrap index 1 has no previous sample)")
-    return ordered_product(b if i in s else a for i, (a, b) in enumerate(pairs, 1))
+def subset_terms(pairs):
+    """Yield (S, H(S)) for every subset S of the indices (1-based) whose B_i is not
+    None, H(S) the ordered product of B_i for i in S and A_i elsewhere, numerators
+    over den ** len(pairs) for pairs over den. A stack holds at most two prefixes
+    per depth, each its parent's times one factor: 2^(n+1) - 4 products for n
+    plain pairs, 2^n - 2 for n bootstrap pairs."""
+    stack = [(0, (), None)]
+    while stack:
+        i, s, prefix = stack.pop()
+        if i == len(pairs):
+            yield frozenset(s), prefix
+            continue
+        a, b = pairs[i]
+        children = [(a, s)] if b is None else [(b, (*s, i + 1)), (a, s)]
+        stack += [(i + 1, t, f if prefix is None else f @ prefix) for f, t in children]
 
 
 def _check_enumeration_size(n: int):
@@ -138,11 +137,9 @@ def hoeffding_sum(data, eta_n: float, sigma=None, weights=None):
     Every matrix is the numerators over den."""
     pairs, den = factor_pairs(data, eta_n, sigma, weights)
     _check_enumeration_size(len(pairs))
-    idx = [i for i, (_, b) in enumerate(pairs, 1) if b is not None]
-    terms = [np.zeros_like(pairs[0][0]) for _ in range(len(idx) + 1)]
-    for k in range(len(idx) + 1):
-        for combo in itertools.combinations(idx, k):
-            terms[k] += hoeffding_term(pairs, frozenset(combo))
+    terms = [np.zeros_like(pairs[0][0]) for _ in range(1 + sum(b is not None for _, b in pairs))]
+    for s, h in subset_terms(pairs):
+        terms[len(s)] += h
     return np.sum([_integers(t) for t in terms], axis=0), terms, den ** len(pairs)
 
 
@@ -151,18 +148,14 @@ def orthogonality_table(spec: DiscreteSpec, n: int, eta_n: float) -> float:
     outcome's Gram numerators, weighted by its probability's integer ratio, summed
     over one common denominator, and one correctly rounded division at the end."""
     _check_enumeration_size(n)
-    sigma = spec.sigma
-    subsets = [frozenset(c)
-               for k in range(n + 1)
-               for c in itertools.combinations(range(1, n + 1), k)]
     gram, den = 0, 1
     for outcome, p in enumerate_outcomes(spec, n):
-        pairs, q = factor_pairs(outcome, eta_n, sigma=sigma)
-        flat = np.array([hoeffding_term(pairs, s).ravel() for s in subsets])
+        pairs, q = factor_pairs(outcome, eta_n, sigma=spec.sigma)
+        flat = np.array([h.ravel() for _, h in subset_terms(pairs)])
         num, q_p = p.as_integer_ratio()
         q_g = q_p * q ** (2 * n)  # each term is over q^n
         common = math.lcm(den, q_g)
         gram = gram * (common // den) + _integers(flat @ flat.T) * (num * (common // q_g))
         den = common
-    off = gram[~np.eye(len(subsets), dtype=bool)]
+    off = gram[~np.eye(len(gram), dtype=bool)]
     return max(abs(v) for v in off) / den

@@ -14,10 +14,10 @@ of a `WeightedChiSq`.
 The law is exact, never sampled. Its CDF F inverts Phi(s) = E e^(-sQ) =
 prod_r (1 + 2 w_r s)^(-1/2), log Phi summed in real arithmetic: with p = 2w Re s and
 q = 2w Im s, log(1 + 2ws) = log1p(p(2 + p) + q^2) / 2 + i atan2(q, 1 + p), complex log1p's
-principal branch, also where Re(1 + 2ws) < 0 (Talbot's nodes past theta = pi/2). An s past
-2^500 is first halved k times to below it; as every weight kept has 2w > 1e-8, 2w|s| > 1e142
-there, so log|1 + 2ws| = log|1 + 2w 2^-k s| + k log 2 to the last bit, and no square
-overflows up to Talbot's |s| = 0.4 M / 1e-300. F is then found in one of two ways:
+principal branch, also where Re(1 + 2ws) < 0 (Talbot's nodes past theta = pi/2). At a
+largest weight in [1/2, 1), F(x) <= P(w_1 xi_1 <= x) <= sqrt(4x / pi), at most 1e-10 for
+x <= (pi / 4) 1e-20, where F reads 0; above that Talbot's |s| stays below about 2e22 and no
+square overflows. F is then found in one of two ways:
 - Gil-Pelaez as Davies (1973, Biometrika 60) sums it, with phi(u) = Phi(-iu):
   F(x) = 1/2 - (1/pi) sum_{k>=0} Im(phi(u_k) e^(-i u_k x)) / (k + 1/2) for
   u_k = (k + 1/2) pi / T, where P(Q > T) <= e^-40 bounds the aliasing error. As
@@ -58,8 +58,8 @@ _WEIGHT_FLOOR_RTOL = 1e-8
 _TALBOT_NODES, _GP_TERMS, _GP_TAIL = 20, 4096, 1e-12
 # each inversion holds about ten (x, node) arrays of at most 2^13 values: under 1 MiB
 _CHUNK = 2**13
-# x below this, at a largest weight in [1/2, 1), is read as this: F < 1e-150 there
-_X_FLOOR = 1e-300
+# at and below this x, at a largest weight in [1/2, 1), F <= sqrt(4x / pi) = 1e-10: F reads 0
+_X_ZERO = 0.25 * np.pi * 1e-20
 # tail_end is the point past which P(Q > x) <= e^-_TAIL_T; bisection halves [0, tail_end]
 # _BISECTIONS times, past which the bracket is one ulp
 _TAIL_T, _BISECTIONS = 40.0, 64
@@ -67,9 +67,8 @@ _TAIL_T, _BISECTIONS = 40.0, 64
 
 def _log_phi(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """log Phi at each s, a weight at a time (module docstring): never an (s, weight) array."""
-    k = np.maximum(np.frexp(np.abs(s))[1] - 500, 0)
-    sr, si, p, q, t = np.ldexp(s.real, -k), np.ldexp(s.imag, -k), *np.empty((3, *s.shape))
-    mod, arg = (2.0 * np.log(2.0) * w.size) * k, np.zeros(s.shape)  # mod sums 2 log|1 + 2ws|
+    sr, si, p, q, t = s.real.copy(), s.imag.copy(), *np.empty((3, *s.shape))
+    mod, arg = np.zeros(s.shape), np.zeros(s.shape)  # mod sums 2 log|1 + 2ws|
     for wr in w:
         np.multiply(sr, 2.0 * wr, out=p)
         np.multiply(si, 2.0 * wr, out=q)
@@ -111,7 +110,7 @@ def _talbot(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     u = np.concatenate(([1.0], theta * cot + 1j * theta))
     c = np.exp(0.4 * m * u) * np.r_[0.5, 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)] / (m * u)
     for lo in range(0, xs.size, step):
-        r = 0.4 * m / np.maximum(xs[lo:lo + step], _X_FLOOR)
+        r = 0.4 * m / xs[lo:lo + step]
         out[lo:lo + step] = (np.exp(_log_phi(w, np.multiply.outer(r, u))) * c).sum(axis=1).real
     return out
 
@@ -181,13 +180,13 @@ class WeightedChiSq:
 
     def cdf(self, x) -> np.ndarray:
         """P(Q <= x) for each x, absolute error at most 1e-10 (module docstring): exactly
-        0 at x <= 0 and 1 from tail_end on, weights below 1e-8 times the largest left
-        out. The law is inverted scaled by 2^-e, its largest weight in [1/2, 1), at
-        x * 2^-e, so no bracket or product overflows."""
+        0 up to x = (pi / 4) 1e-20 2^e and 1 from tail_end on, weights below 1e-8 times
+        the largest left out. The law is inverted scaled by 2^-e, its largest weight in
+        [1/2, 1), at x * 2^-e, so no bracket or product overflows."""
         x = np.asarray(x, dtype=float)
         e, w, end, terms = self._inversion
         xs = np.ldexp(x.ravel(), -e)
-        out, inside = (xs >= end).astype(float), (xs > 0.0) & (xs < end)
+        out, inside = (xs >= end).astype(float), (xs > _X_ZERO) & (xs < end)
         f = _talbot(w, xs[inside]) if terms is None else _gil_pelaez(terms, xs[inside])
         out[inside] = np.clip(f, 0.0, 1.0)
         return out.reshape(x.shape)

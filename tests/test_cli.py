@@ -288,9 +288,9 @@ class TestExitCodes:
 
     def test_verify_failure_is_one(self, config_path, monkeypatch):
         from ojaboot import hoeffding
-        orig = hoeffding.hoeffding_term
-        monkeypatch.setattr(hoeffding, "hoeffding_term",
-                            lambda pairs, s: -orig(pairs, s) if s else orig(pairs, s))
+        orig = hoeffding.subset_terms
+        monkeypatch.setattr(hoeffding, "subset_terms",
+                            lambda pairs: ((s, -h if s else h) for s, h in orig(pairs)))
         assert cli.main(["verify", "--config", str(config_path)]) == 1
 
 

@@ -447,13 +447,12 @@ class TestVerify:
             "chisq_moments", "anticoncentration", "covariance_rate", "vbar_closed_form"}
 
     def test_injected_sign_error_is_caught(self, monkeypatch):
-        orig = hoeffding.hoeffding_term
+        orig = hoeffding.subset_terms
 
-        def botched(pairs, s):
-            out = orig(pairs, s)
-            return -out if s else out
+        def botched(pairs):
+            return ((s, -h if s else h) for s, h in orig(pairs))
 
-        monkeypatch.setattr(hoeffding, "hoeffding_term", botched)
+        monkeypatch.setattr(hoeffding, "subset_terms", botched)
         report = harness.verify(tiny_config(d=6))
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["hoeffding_exactness"]["passed"]
@@ -576,9 +575,9 @@ class TestVerify:
         def fractions(m, den):
             return np.array([Fraction(v, den) for v in m.flat], dtype=object)
 
-        orig = hoeffding.hoeffding_term
-        monkeypatch.setattr(hoeffding, "hoeffding_term",
-                            lambda pairs, s: -orig(pairs, s) if s else orig(pairs, s))
+        orig = hoeffding.subset_terms
+        monkeypatch.setattr(hoeffding, "subset_terms",
+                            lambda pairs: ((s, -h if s else h) for s, h in orig(pairs)))
         cfg = tiny_config()
         worst = {"sigma": 0.0, "weights": 0.0}
         case = 0

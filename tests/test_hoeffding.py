@@ -72,14 +72,15 @@ class TestHoeffdingTerm:
         data = rng.standard_normal((4, 3))
         pairs, den = hoeffding.factor_pairs(data, 1.2, sigma=sigma)
         expected = np.linalg.matrix_power(np.eye(3) + 0.3 * sigma, 4)
-        np.testing.assert_allclose(rounded(hoeffding.hoeffding_term(pairs, frozenset()), den**4),
-                                   expected, atol=1e-12)
+        terms = dict(hoeffding.subset_terms(pairs))
+        np.testing.assert_allclose(rounded(terms[frozenset()], den**4), expected, atol=1e-12)
 
     def test_single_index_n1(self, rounded):
         x = np.array([2.0, -1.0])
         sigma = np.diag([1.0, 1.0])
         pairs, den = hoeffding.factor_pairs(x[None, :], 0.9, sigma=sigma)
-        np.testing.assert_allclose(rounded(hoeffding.hoeffding_term(pairs, frozenset({1})), den),
+        terms = dict(hoeffding.subset_terms(pairs))
+        np.testing.assert_allclose(rounded(terms[frozenset({1})], den),
                                    0.9 * (np.outer(x, x) - sigma))
 
     def test_middle_index_n3(self, rounded):
@@ -90,13 +91,79 @@ class TestHoeffdingTerm:
         base = np.eye(2) + a * sigma
         expected = base @ (a * (np.outer(data[1], data[1]) - sigma)) @ base
         pairs, den = hoeffding.factor_pairs(data, 0.6, sigma=sigma)
-        got = rounded(hoeffding.hoeffding_term(pairs, frozenset({2})), den**3)
+        got = rounded(dict(hoeffding.subset_terms(pairs))[frozenset({2})], den**3)
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
-    def test_subset_bounds_validated(self):
-        pairs, _ = hoeffding.factor_pairs(np.zeros((3, 2)), 1.0, sigma=np.eye(2))
-        with pytest.raises(ValueError):
-            hoeffding.hoeffding_term(pairs, frozenset({5}))
+
+def exact_pairs(kind, n, d=2, seed=0):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, d))
+    args = ({"sigma": linalg.sym(rng.standard_normal((d, d)))} if kind == "plain"
+            else {"weights": rng.standard_normal(n)})
+    return hoeffding.factor_pairs(data, 1.3, **args)[0]
+
+
+class CountingMatrix:
+    """A matrix that counts the products taken through it."""
+    products = 0
+
+    def __init__(self, m):
+        self.m = m
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return CountingMatrix(self.m @ other.m)
+
+
+class TestSubsetTerms:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
+    def test_yields_the_power_set_of_the_increments(self, kind, n):
+        pairs = exact_pairs(kind, n)
+        got = [s for s, _ in hoeffding.subset_terms(pairs)]
+        idx = range(1, n + 1) if kind == "plain" else range(2, n + 1)
+        want = {frozenset(c) for k in range(len(idx) + 1) for c in itertools.combinations(idx, k)}
+        assert len(got) == len(set(got)) == len(want) and set(got) == want
+        # bootstrap index 1 has no previous sample, so no subset holds it
+        assert kind == "plain" or not any(1 in s for s in got)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
+    def test_each_term_is_the_product_of_its_factors(self, kind, n):
+        pairs = exact_pairs(kind, n, d=3, seed=n)
+        for s, h in hoeffding.subset_terms(pairs):
+            want = product([b if i in s else a for i, (a, b) in enumerate(pairs, 1)])
+            assert all(isinstance(v, int) for v in h.flat)
+            assert np.array_equal(h, want)
+
+    @pytest.mark.parametrize("kind, products", [("plain", lambda n: 2 ** (n + 1) - 4),
+                                                ("bootstrap", lambda n: 2**n - 2)])
+    def test_each_prefix_costs_one_product(self, kind, products, monkeypatch):
+        for n in (1, 2, 4, 7):
+            pairs = [(CountingMatrix(a), None if b is None else CountingMatrix(b))
+                     for a, b in exact_pairs(kind, n)]
+            monkeypatch.setattr(CountingMatrix, "products", 0)
+            assert len(list(hoeffding.subset_terms(pairs))) == 2 ** (n - (kind == "bootstrap"))
+            assert CountingMatrix.products == products(n)
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
+    def test_sum_equals_the_combinations_loop(self, kind, n):
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, 2)) * 3.0
+        args = ({"sigma": np.diag([2.0, 0.5])} if kind == "plain"
+                else {"weights": rng.standard_normal(n)})
+        pairs, den = hoeffding.factor_pairs(data, np.log(n + 1), **args)
+        idx = [i for i, (_, b) in enumerate(pairs, 1) if b is not None]
+        terms = [np.zeros_like(pairs[0][0]) for _ in range(len(idx) + 1)]
+        for k in range(len(idx) + 1):
+            for combo in itertools.combinations(idx, k):
+                terms[k] += product([b if i in combo else a
+                                     for i, (a, b) in enumerate(pairs, 1)])
+        total, got, got_den = hoeffding.hoeffding_sum(data, np.log(n + 1), **args)
+        assert got_den == den ** n and len(got) == len(terms)
+        assert all(np.array_equal(g, t) for g, t in zip(got, terms))
+        assert np.array_equal(total, np.sum(terms, axis=0))
 
 
 class TestHoeffdingSum:
@@ -135,8 +202,9 @@ class TestHoeffdingSum:
         assert np.array_equal(total, b)
 
     def test_exact_sum_rejects_a_float_term(self, monkeypatch):
-        monkeypatch.setattr(hoeffding, "hoeffding_term",
-                            lambda pairs, s: np.ones((2, 2)) if s else np.zeros((2, 2)))
+        orig = hoeffding.subset_terms
+        monkeypatch.setattr(hoeffding, "subset_terms", lambda pairs: (
+            (s, np.ones((2, 2)) if s else h) for s, h in orig(pairs)))
         with pytest.raises(TypeError, match="float"):
             hoeffding.hoeffding_sum(np.ones((2, 2)), 1.0, sigma=np.eye(2))
 
@@ -235,8 +303,7 @@ class TestBootstrapHoeffding:
 
     def test_index_one_never_in_subset(self):
         pairs, _ = hoeffding.factor_pairs(np.ones((2, 2)), 1.0, weights=np.ones(2))
-        with pytest.raises(ValueError, match="index 1"):
-            hoeffding.hoeffding_term(pairs, frozenset({1}))
+        assert set(dict(hoeffding.subset_terms(pairs))) == {frozenset(), frozenset({2})}
 
 
 def verify_law():
@@ -290,7 +357,7 @@ class TestOrthogonality:
         energy = 0.0
         for outcome, p in model.enumerate_outcomes(spec, n):
             pairs, den = hoeffding.factor_pairs(outcome, 1.0, sigma=spec.sigma)
-            term = rounded(hoeffding.hoeffding_term(pairs, frozenset({2})), den**n)
+            term = rounded(dict(hoeffding.subset_terms(pairs))[frozenset({2})], den**n)
             energy += p * np.sum(term * term)
         assert energy > 1e-6
 

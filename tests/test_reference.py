@@ -311,13 +311,6 @@ class TestLogPhi:
         np.testing.assert_allclose(reference._log_phi(self.w, s), complex_log_phi(self.w, s),
                                    rtol=0, atol=1e-12)
 
-    def test_matches_complex_log1p_past_the_scaling_point(self):
-        # up to |s| = 0.4 M / 1e-300, Talbot's nodes at the smallest x cdf reads
-        rng = np.random.default_rng(34)
-        s = 10.0 ** rng.uniform(140.0, 300.9, 500) * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
-        np.testing.assert_allclose(reference._log_phi(self.w, s), complex_log_phi(self.w, s),
-                                   rtol=1e-14, atol=0)
-
     def test_matches_complex_log1p_at_the_inversion_nodes(self):
         # Talbot's nodes r (theta cot theta + i theta); past theta = pi/2, Re(1 + 2ws) < 0
         # for the largest weights, and arg(1 + 2ws) nears pi. Davies' nodes are -iu.
@@ -337,6 +330,16 @@ class TestLogPhi:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             f = chisq_law(w).cdf(np.array([1e-300, 1e-200, 1e-20]))
         assert np.all((f >= 0.0) & (f <= 1e-10))
+
+    def test_cdf_is_zero_up_to_the_cut_and_erf_above_it(self):
+        # the one weight 1 is scaled to 1/2, so the cut at x = (pi / 4) 1e-20 scaled is
+        # twice that unscaled, where erf(sqrt(x / 2)) is 1e-10
+        cut = np.ldexp(reference._X_ZERO, 1)
+        law = chisq_law([1.0])
+        assert np.all(law.cdf(np.array([5e-324, 1e-300, 0.5 * cut, cut])) == 0.0)
+        x = np.array([np.nextafter(cut, np.inf), 2.0 * cut, 1e-12, 1e-6])
+        np.testing.assert_allclose(law.cdf(x), [math.erf(math.sqrt(v / 2)) for v in x],
+                                   rtol=0, atol=1e-10)
 
 
 class TestChisqCdf:
