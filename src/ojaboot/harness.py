@@ -9,10 +9,10 @@ runners share no state, so the CLI may run two of them in separate processes
 (compare's sampling and bootstrap, under --threads >= 2) without a byte changing.
 
 Each runner is one loop of `oja.advance` over blocks of rows, which `oja.unit_rows`
-normalizes once, at the end. Sampling moves blocks of up to 100 trials through
-chunks whose coordinates fill one buffer, a fixed share per trial. Bootstrap blocks
-of up to 512 rows (replicates, then v_hat with zero multipliers) each stream the one
-dataset afresh in chunks of 256 steps (100 from d = 63), holding only their own streams.
+normalizes once, at the end. Sampling moves blocks of up to 100 trials through chunks
+of 1280 // d steps (at least one), whose coordinates fill views of one buffer. Bootstrap
+blocks of up to 512 rows (replicates, then v_hat with zero multipliers) each stream the
+one dataset afresh in chunks of 256 steps (100 from d = 63), holding only their own streams.
 The reference law is exact, a CDF by Laplace inversion, so `reference` and verify's two
 chi-square checks draw nothing. Verify's Hoeffding checks compare integer numerators
 only; the CSV writers write _CSV_ROWS rows at a time, never a whole file's text.
@@ -35,9 +35,10 @@ from . import bootstrap, hoeffding, linalg, model, oja, randgen, reference, stat
 # that start at multiples of 4 keep each row's rounding in the (2, d) @ (d, m) products
 # (at d = 100, 521 rows split 512|9 move no bit, split 37|484 two rows). Each bootstrap
 # block draws the whole dataset (again past _BLOCK - 1 replicates) and per chunk one
-# multiplier row per block row. A sampling chunk takes one uniform draw per trial into one
-# buffer of _TRIAL_FLOATS coordinates per trial of the first block (1.0 MiB and 12 steps
-# per draw for 100 trials at d = 100, 600 KiB and 64 steps for 60 trials at d = 20).
+# multiplier row per block row. A sampling chunk is max(1, _TRIAL_FLOATS // d) steps, one
+# uniform draw per trial into a view of one (min(trials, _SAMPLING_BLOCK), steps, d)
+# buffer (12 steps and 960 KB for 100 trials at d = 100, 64 steps and 600 KiB for 60
+# trials at d = 20).
 # Both compare loops multiply (rows, d) @ (d, d) blocks by Sigma^(1/2), which OpenBLAS
 # 0.3.31 does on its small-matrix dgemm path while rows * d * d <= _SMALL_GEMM: at
 # d = 100 a row costs about 28 % less at 100 rows than at 101 to 128. The path also
@@ -137,7 +138,7 @@ class ExperimentConfig:
         return ConfigError(f"{what} overflows at scale = {self.scale!r}, beta = {self.beta!r}")
 
     def stream(self, *path) -> randgen.RngStream:
-        return randgen.derive_stream(self.master_seed, path)
+        return randgen.RngStream(self.master_seed, path)
 
     def echo(self) -> dict:
         """The config file's keys and values."""
@@ -201,16 +202,15 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
     mdl = config.spectral_model()
     u0 = draw_u0(config)
     eta = config.eta_n / config.n
-    buf = np.empty(min(config.trials, _SAMPLING_BLOCK) * max(_TRIAL_FLOATS, config.d))
+    step = max(1, _TRIAL_FLOATS // config.d)
+    buf = np.empty((min(config.trials, _SAMPLING_BLOCK), step, config.d))
     blocks = []
     for first in range(0, config.trials, _SAMPLING_BLOCK):
         streams = [config.stream("trial", j)
                    for j in range(first, min(first + _SAMPLING_BLOCK, config.trials))]
         w = oja.start(u0, len(streams))
-        step = buf.size // (len(streams) * config.d)
         for lo in range(0, config.n, step):
-            shape = (len(streams), min(step, config.n - lo), config.d)
-            z = model.sample_paths(mdl, streams, buf[:math.prod(shape)].reshape(shape))
+            z = model.sample_paths(mdl, streams, buf[:len(streams), :config.n - lo])
             w = oja.advance(w, z, eta, root=mdl.sqrt_sigma)
         blocks.append(w)
     errors = np.array([oja.sin2(row, mdl.v1) for row in _unit_rows(np.vstack(blocks), config)])
@@ -222,7 +222,6 @@ def run_sampling_experiment(config: ExperimentConfig) -> dict:
         "scaled_cdf": stats.ecdf(scaled),
         "mean": float(errors.mean()),
         "median": stats.median(errors),
-        "u0": u0,
     }
 
 
@@ -253,7 +252,6 @@ def run_bootstrap_experiment(config: ExperimentConfig) -> dict:
         "errors": errors,
         "v_hat": unit[-1],
         "quantiles": {f"q{p}": cdf.quantile(p) for p in (0.9, 0.95, 0.99)},
-        "u0": u0,
     }
 
 

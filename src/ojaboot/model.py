@@ -143,17 +143,19 @@ def sample_x(model: SpectralModel, stream: RngStream, size: int) -> np.ndarray:
 
 
 def sample_paths(model: SpectralModel, streams, out: np.ndarray):
-    """Fill out, a C-contiguous (m, T, d) array that can be reused from call to call,
-    with the coordinates Z of the next T samples of each of m streams: row i holds
+    """Fill out, an (m, T, d) array whose rows out[i] are each C-contiguous (such as a
+    view buf[:m, :T] of a larger buffer, reused from call to call), with the coordinates
+    Z of the next T samples of each of m streams: row i holds
     streams[i].uniform_sym((T, d)), and Z[i] @ Sigma^{1/2} is what
     sample_x(model, streams[i], T) returns, up to the rounding of that product.
     `oja.advance` forms the product one step at a time."""
     if isinstance(model.sampling_law, DiscreteSpec):
         raise ValueError("sample_paths draws continuous laws; a discrete one is enumerated")
+    # the rows share their strides, so out[:1] is contiguous exactly when each row is
     if (out.ndim != 3 or out.shape[0] != len(streams) or out.shape[2] != model.dim
-            or not out.flags.c_contiguous):
-        raise ValueError(f"a buffer of shape {out.shape} is not a C-contiguous (m, T, d) "
-                         f"array with m = {len(streams)} streams and d = {model.dim}")
+            or not out[:1].flags.c_contiguous):
+        raise ValueError(f"a buffer of shape {out.shape} is not an (m, T, d) array of "
+                         f"C-contiguous rows with m = {len(streams)} streams and d = {model.dim}")
     for row, stream in zip(out, streams):
         stream.uniform01(out=row)
     return to_symmetric(out)  # each stream's uniform_sym values, mapped in one pass

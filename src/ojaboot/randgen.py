@@ -91,7 +91,3 @@ class RngStream:
         """Uniform [0, 1) draw(s), into `out` when given: indices into finite supports,
         and the raw draws that `to_symmetric` maps for many streams at once."""
         return self._gen.random(size, out=out)
-
-
-def derive_stream(master_seed: int, path=()) -> RngStream:
-    return RngStream(master_seed, path)

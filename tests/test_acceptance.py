@@ -39,7 +39,7 @@ def _instances():
         eta = 1.0 if rule == "one" else float(np.log(n))
         mdl = model.spectral_decompose(
             model.KernelSpec(d=d, c=0.3, beta=0.5, scale=1.2))
-        data = model.sample_x(mdl, randgen.derive_stream(SEED, ("acc", k)), n)
+        data = model.sample_x(mdl, randgen.RngStream(SEED, ("acc", k)), n)
         yield k, n, d, eta, mdl, data
 
 
@@ -91,7 +91,7 @@ def test_criterion_01_hoeffding_exactness(rounded):
 def test_criterion_02_bootstrap_hoeffding_exactness(rounded):
     worst = 0.0
     for k, n, d, eta, mdl, data in _instances():
-        w_stream = randgen.derive_stream(SEED, ("acc", "w", k))
+        w_stream = randgen.RngStream(SEED, ("acc", "w", k))
         weights = np.concatenate([[0.0], w_stream.normal(0.0, 0.5, n - 1)])
         total, _, den = hoeffding.hoeffding_sum(data, eta, weights=weights)
         total = rounded(total, den)
@@ -147,7 +147,7 @@ def test_criterion_07_covariance_rate():
         vbar = reference.build_reference(mdl, eta, n)
         diffs = []
         for j in range(50):
-            data = model.sample_x(mdl, randgen.derive_stream(SEED, ("cov", n, j)), n)
+            data = model.sample_x(mdl, randgen.RngStream(SEED, ("cov", n, j)), n)
             cov = bootstrap.bootstrap_covariance(data, mdl, eta)
             diffs.append(abs(float(np.trace(cov - vbar))))
         medians[n] = float(np.median(diffs))
@@ -168,7 +168,7 @@ def test_criterion_08_anticoncentration(clt_run):
 def test_criterion_09_vbar_closed_form():
     mdl = model.spectral_decompose(model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5))
     n, eta = 1000, float(np.log(1000))
-    raw = randgen.derive_stream(SEED, ("acc", "vbar")).normal(0.0, 1.0, (9, 9))
+    raw = randgen.RngStream(SEED, ("acc", "vbar")).normal(0.0, 1.0, (9, 9))
     m = raw @ raw.T
     lp = reference.contraction_ratios(mdl, eta, n)
     closed = reference.assemble_vbar(m, lp, eta, n, mdl.v_perp)

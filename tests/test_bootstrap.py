@@ -81,10 +81,10 @@ class TestEnsembleStep:
         for row in block:
             np.testing.assert_allclose(row, w, atol=1e-15)
         # and the stream's first draw belongs to the second step
-        mult = bootstrap.draw_multipliers([randgen.derive_stream(3, ("w", 0))], 0, 3, 1)
+        mult = bootstrap.draw_multipliers([randgen.RngStream(3, ("w", 0))], 0, 3, 1)
         assert mult[0, 0] == 0.0
         np.testing.assert_array_equal(
-            mult[0, 1:], randgen.derive_stream(3, ("w", 0)).normal(0.0, 0.5, 2))
+            mult[0, 1:], randgen.RngStream(3, ("w", 0)).normal(0.0, 0.5, 2))
 
     def test_zero_multiplier_reduces_to_oja(self):
         rng = np.random.default_rng(1)
@@ -112,7 +112,7 @@ class TestEnsembleStep:
         rng = np.random.default_rng(3)
         block = oja.start(rng.standard_normal(4), 5)
         ref = block.copy()
-        streams = [randgen.derive_stream(0, ("w", i)) for i in range(5)]
+        streams = [randgen.RngStream(0, ("w", i)) for i in range(5)]
         prev = None
         for t in range(20):
             x = rng.standard_normal(4)
@@ -129,7 +129,7 @@ class TestEnsembleStep:
 
     def test_one_dimensional_sphere(self):
         block = oja.start([2.0], 3)
-        streams = [randgen.derive_stream(1, ("w", i)) for i in range(3)]
+        streams = [randgen.RngStream(1, ("w", i)) for i in range(3)]
         prev = None
         for t, x in enumerate(([1.3], [-0.4], [0.9], [2.0])):
             block = oja.advance(block, [x], 1.0 / 4,
@@ -154,16 +154,16 @@ class TestEnsembleStep:
             oja.advance(oja.start([1.0, 0.0], 1), [[1.0, 0.0, 0.0]], 0.5, mult=np.zeros((1, 1)))
 
     def test_chunked_draws_equal_scalar_draws(self):
-        streams = [randgen.derive_stream(5, ("w", i)) for i in range(3)]
+        streams = [randgen.RngStream(5, ("w", i)) for i in range(3)]
         chunks = np.hstack([bootstrap.draw_multipliers(streams, lo, hi, len(streams))
                             for lo, hi in ((0, 5), (5, 9), (9, 12))])
         for i, row in enumerate(chunks):
-            s = randgen.derive_stream(5, ("w", i))
+            s = randgen.RngStream(5, ("w", i))
             scalar = [0.0] + [s.normal(0.0, 0.5) for _ in range(11)]
             np.testing.assert_array_equal(row, scalar)
 
     def test_rows_after_the_streams_are_zero(self):
-        streams = lambda: [randgen.derive_stream(6, ("w", i)) for i in range(2)]
+        streams = lambda: [randgen.RngStream(6, ("w", i)) for i in range(2)]
         mult = bootstrap.draw_multipliers(streams(), 256, 300, rows=4)
         assert mult.shape == (4, 44) and not mult[2:].any()
         np.testing.assert_array_equal(mult[:2], bootstrap.draw_multipliers(streams(), 256, 300, 2))
@@ -173,10 +173,10 @@ class TestEnsembleStep:
         # stop - start values (one fewer at step 0) from the replicate's stream
         for start, stop in ((0, 256), (256, 300)):
             mult = bootstrap.draw_multipliers(
-                [randgen.derive_stream(6, ("w", i)) for i in range(4)], start, stop, 4)
+                [randgen.RngStream(6, ("w", i)) for i in range(4)], start, stop, 4)
             first = 1 if start == 0 else 0
             for i, row in enumerate(mult):
-                old = randgen.derive_stream(6, ("w", i)).normal(
+                old = randgen.RngStream(6, ("w", i)).normal(
                     0.0, bootstrap.W_VARIANCE, stop - start - first)
                 assert row[first:].tobytes() == old.tobytes()
             assert not mult[:, :first].any()
@@ -203,7 +203,7 @@ class TestConditionalMoments:
         eta = 0.4
         diff = (v @ x) * x - (v @ p) * p
         target = eta**2 * 0.5 * np.outer(diff, diff)
-        w = randgen.derive_stream(77, ("condvar",)).normal(0.0, 0.5, 10**5)
+        w = randgen.RngStream(77, ("condvar",)).normal(0.0, 0.5, 10**5)
         incs = eta * w[:, None] * diff[None, :]  # increment minus its W-mean part
         devs = incs - incs.mean(axis=0)
         emp = devs.T @ devs / w.size
@@ -215,14 +215,14 @@ class TestConditionalMoments:
 class TestRunBootstrap:
     def test_constant_data_gives_zero_errors(self):
         data = np.tile(np.array([1.7, 0.0, 0.0]), (30, 1))
-        streams = [randgen.derive_stream(9, ("w", i)) for i in range(2)]
+        streams = [randgen.RngStream(9, ("w", i)) for i in range(2)]
         _, errors = replicate_errors(data, [0.6, 0.6, 0.5], 2, np.log(30), streams)
         assert np.all(errors <= 1e-12)
 
     def test_errors_in_unit_interval(self):
         rng = np.random.default_rng(10)
         data = rng.standard_normal((50, 4))
-        streams = [randgen.derive_stream(10, ("w", i)) for i in range(8)]
+        streams = [randgen.RngStream(10, ("w", i)) for i in range(8)]
         _, errors = replicate_errors(data, rng.standard_normal(4), 8, np.log(50), streams)
         assert errors.shape == (8,)
         assert np.all(errors >= 0.0) and np.all(errors <= 1.0)
@@ -233,7 +233,7 @@ class TestRunBootstrap:
         u0 = rng.standard_normal(3)
         runs = []
         for _ in range(2):
-            streams = [randgen.derive_stream(123, ("w", i)) for i in range(5)]
+            streams = [randgen.RngStream(123, ("w", i)) for i in range(5)]
             runs.append(replicate_errors(data, u0, 5, np.log(25), streams))
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -289,7 +289,7 @@ class TestBootstrapCovariance:
             delta = np.outer(data[i - 1], data[i - 1]) - np.outer(data[i - 2], data[i - 2])
             rows.append(dmat @ delta @ m.v1)
         rows = np.stack(rows)
-        w = randgen.derive_stream(14, ("zmc",)).normal(0.0, 0.5, (10**5, n - 1))
+        w = randgen.RngStream(14, ("zmc",)).normal(0.0, 0.5, (10**5, n - 1))
         z = np.sqrt(eta_n / n) * (w @ rows)
         emp = z.T @ z / z.shape[0]
         prods = z[:, :, None] * z[:, None, :]

@@ -247,14 +247,6 @@ class TestSamplingExperiment:
                  for trials in (100, 150)]
         np.testing.assert_array_equal(first[1], first[0])
 
-    def test_u0_shared_with_bootstrap(self):
-        cfg = tiny_config()
-        u_samp = harness.run_sampling_experiment(cfg)["u0"]
-        u_boot = harness.run_bootstrap_experiment(cfg)["u0"]
-        np.testing.assert_array_equal(u_samp, u_boot)
-        np.testing.assert_array_equal(u_samp, harness.draw_u0(cfg))
-        assert np.linalg.norm(u_samp) == pytest.approx(1.0)
-
 
 class TestBootstrapExperiment:
     def test_shapes_and_ranges(self):
@@ -488,13 +480,13 @@ class TestVerify:
         # the chi-square checks read the exact CDF of the reference weights, and the
         # exact moment matrix draws nothing
         paths = []
-        orig = randgen.derive_stream
+        orig = randgen.RngStream
 
         def recording(master_seed, path=()):
             paths.append(tuple(path))
             return orig(master_seed, path)
 
-        monkeypatch.setattr(randgen, "derive_stream", recording)
+        monkeypatch.setattr(randgen, "RngStream", recording)
         cfg = tiny_config(d=6)
         checks = harness.verify(cfg)["checks"]
         assert ("mc", "m_estimate") not in paths
@@ -614,7 +606,7 @@ class TestWriters:
 
     def test_cdf_csv_never_holds_the_whole_text(self, tmp_path):
         # 1e5 rows are about 2.7 MB of text; one chunk of 4096 rows about 0.1 MB
-        cdf = stats.ecdf(randgen.derive_stream(3, ("csv",)).uniform01(10**5))
+        cdf = stats.ecdf(randgen.RngStream(3, ("csv",)).uniform01(10**5))
         peak = traced_peak_bytes(lambda: harness.write_cdf_csv(tmp_path / "c.csv", cdf))
         assert (tmp_path / "c.csv").stat().st_size > 2 * 10**6
         assert peak < 2**20

@@ -262,7 +262,7 @@ class TestExactAgainstFractions:
     @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
     def test_integer_evaluation_equals_the_fraction_oracle(self, kind, n, d, scale):
         mdl = model.spectral_decompose(model.KernelSpec(d=d, c=0.01, beta=1.0, scale=scale))
-        stream = randgen.derive_stream(11, ("exact", kind, n, d))
+        stream = randgen.RngStream(11, ("exact", kind, n, d))
         data = model.sample_x(mdl, stream, n)
         args = ({"sigma": mdl.sigma} if kind == "plain"
                 else {"weights": stream.normal(0.0, 0.5, n)})

@@ -90,7 +90,7 @@ class TestSpectralDecompose:
 class TestSampleX:
     def test_identity_coordinates_uniform(self):
         m = model.spectral_decompose(explicit_law(np.eye(4)))
-        s = randgen.derive_stream(1, ("sx",))
+        s = randgen.RngStream(1, ("sx",))
         xs = model.sample_x(m, s, size=20000)
         assert np.all(np.abs(xs) < math.sqrt(3.0) + 1e-12)
         np.testing.assert_allclose(xs.var(axis=0), 1.0, atol=0.05)
@@ -98,7 +98,7 @@ class TestSampleX:
     def test_second_moment_matches_sigma(self):
         spec = model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0)
         m = model.spectral_decompose(spec)
-        s = randgen.derive_stream(2, ("sx2",))
+        s = randgen.RngStream(2, ("sx2",))
         xs = model.sample_x(m, s, size=2 * 10**5)
         emp = xs.T @ xs / xs.shape[0]
         # spec example: entrywise agreement within 0.05 (absolute) at 2e5 draws
@@ -112,36 +112,52 @@ class TestSampleX:
         m = model.spectral_decompose(rademacher_e1())
         np.testing.assert_allclose(m.sigma, np.diag([1.0, 0.0]), atol=1e-15)
         with pytest.raises(ValueError, match="discrete"):
-            model.sample_x(m, randgen.derive_stream(3, ("disc",)), size=5000)
+            model.sample_x(m, randgen.RngStream(3, ("disc",)), size=5000)
 
 
 class TestSamplePaths:
     def test_rows_are_sample_x_in_chunks(self):
         m = model.spectral_decompose(model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0))
-        streams = [randgen.derive_stream(4, ("path", i)) for i in range(3)]
+        streams = [randgen.RngStream(4, ("path", i)) for i in range(3)]
         out = np.empty((3, 7, 5))
         chunks = [model.sample_paths(m, streams, out) @ m.sqrt_sigma for _ in range(2)]
         for i, row in enumerate(np.concatenate(chunks, axis=1)):
-            bulk = model.sample_x(m, randgen.derive_stream(4, ("path", i)), 14)
+            bulk = model.sample_x(m, randgen.RngStream(4, ("path", i)), 14)
             np.testing.assert_allclose(row, bulk, rtol=1e-12, atol=1e-13)
 
     def test_draws_are_uniform_sym_bit_for_bit(self):
         # the whole buffer is mapped at once; each row must still hold its own
         # stream's uniform_sym values, chunk after chunk
         m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
-        streams = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
-        singles = [randgen.derive_stream(6, ("path", i)) for i in range(3)]
+        streams = [randgen.RngStream(6, ("path", i)) for i in range(3)]
+        singles = [randgen.RngStream(6, ("path", i)) for i in range(3)]
         out = np.empty((3, 5, 4))
         for _ in range(2):
             assert model.sample_paths(m, streams, out) is out
             for row, stream in zip(out, singles):
                 np.testing.assert_array_equal(row, stream.uniform_sym((5, 4)))
 
+    def test_fills_views_of_a_larger_buffer_bit_for_bit(self):
+        # a block of 3 streams in a buffer for 5, then a short last chunk of 2 steps:
+        # each view's rows hold their streams' uniform_sym values, and the rest of the
+        # buffer is left as it was
+        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
+        streams = [randgen.RngStream(6, ("view", i)) for i in range(3)]
+        singles = [randgen.RngStream(6, ("view", i)) for i in range(3)]
+        buf = np.full((5, 6, 4), np.nan)
+        for steps in (6, 2):
+            view = buf[:3, :steps]
+            assert model.sample_paths(m, streams, view) is view
+            for row, stream in zip(view, singles):
+                np.testing.assert_array_equal(row, stream.uniform_sym((steps, 4)))
+        assert np.isnan(buf[3:]).all() and not np.isnan(buf[:3]).any()
+
     def test_rejects_unfit_buffers_and_discrete_laws(self):
+        # the last two have rows that are not C-contiguous: strided, and Fortran-ordered
         m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0))
-        streams = [randgen.derive_stream(4, ("bad", i)) for i in range(2)]
-        for out in [np.empty((2, 4, 4)), np.empty((3, 4, 3)), np.empty((2, 8, 3))[:, ::2],
-                    np.empty((2, 12))]:
+        streams = [randgen.RngStream(4, ("bad", i)) for i in range(2)]
+        for out in [np.empty((2, 4, 4)), np.empty((3, 4, 3)), np.empty((2, 12)),
+                    np.empty((2, 8, 3))[:, ::2], np.empty((2, 3, 4)).transpose(0, 2, 1)]:
             with pytest.raises(ValueError):
                 model.sample_paths(m, streams, out)
         disc = model.spectral_decompose(rademacher_e1())

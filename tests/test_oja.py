@@ -29,8 +29,8 @@ class TestInit:
             oja.start([0.0, 0.0], 1)
 
     def test_u0_from_stream_reproducible(self):
-        g1 = randgen.derive_stream(11, ("u0",)).normal(0.0, 1.0, 6)
-        g2 = randgen.derive_stream(11, ("u0",)).normal(0.0, 1.0, 6)
+        g1 = randgen.RngStream(11, ("u0",)).normal(0.0, 1.0, 6)
+        g2 = randgen.RngStream(11, ("u0",)).normal(0.0, 1.0, 6)
         np.testing.assert_array_equal(oja.normalize(g1), oja.normalize(g2))
 
 
@@ -277,11 +277,11 @@ class TestErrorScaling:
         # quadrupling n should at least halve the mean error (rate eta_n / n)
         spec = model.KernelSpec(d=10, c=0.01, beta=1.0, scale=5.0)
         m = model.spectral_decompose(spec)
-        u0 = randgen.derive_stream(21, ("u0",)).normal(0.0, 1.0, 10)
+        u0 = randgen.RngStream(21, ("u0",)).normal(0.0, 1.0, 10)
         means = {}
         for n in (500, 2000):
             # each trial's coordinates, the uniform draws sample_x would make
-            z = np.stack([randgen.derive_stream(21, ("trial", n, trial)).uniform_sym((n, 10))
+            z = np.stack([randgen.RngStream(21, ("trial", n, trial)).uniform_sym((n, 10))
                           for trial in range(200)])
             w = oja.unit_rows(oja.advance(oja.start(u0, 200), z, np.log(n) / n,
                                           root=m.sqrt_sigma))
