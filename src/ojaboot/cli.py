@@ -9,9 +9,6 @@ be written (argparse also exits 2 on malformed flags, which matches).
 platform has `os.fork`) the bootstrap runs in a forked child while this process
 runs sampling; both execute the same code on the same config, so the output
 bytes do not depend on `--threads`. Every other subcommand runs in one process.
-
-Run as `python -m ojaboot.cli`, the process flushes stdout and stderr and leaves
-through os._exit, without interpreter teardown, unless a tracer or profiler is set.
 """
 
 from __future__ import annotations
@@ -184,20 +181,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def _observed() -> bool:
-    """Whether a tracer or profiler is attached; it writes its results at teardown.
-    From Python 3.12 cProfile registers as one of sys.monitoring's tools, ids 0 to 5,
-    not through sys.setprofile."""
-    monitoring = getattr(sys, "monitoring", None)
-    return (sys.gettrace() is not None or sys.getprofile() is not None
-            or monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
-
-
 if __name__ == "__main__":
-    code = main()
-    if _observed():
-        sys.exit(code)
-    # numpy's teardown costs 15-25 ms and writes nothing: leave as the forked child does
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    sys.exit(main())

@@ -24,9 +24,7 @@ square overflows. F is then found in one of two ways:
   log|phi| is concave in log u, the terms past k sum to at most
   |phi(u_k)| / (pi p_k), p_k the slope of log|phi| from u_{k-1} to u_k, and the
   sum stops once that is below 1e-12. It is used when that takes at most 4096
-  terms: when phi decays fast, as for a law of many comparable weights. The slope
-  never exceeds m/2 for m weights, so a |phi| above pi 1e-12 m at the last node
-  rules the branch out before the other 4095 nodes are evaluated.
+  terms: when phi decays fast, as for a law of many comparable weights.
 - Otherwise the fixed Talbot contour (Abate and Valko 2004, Int. J. Numer. Meth.
   Eng. 60) with M = 20 nodes: r = 2M/(5x), theta_k = k pi/M,
   s_k = r theta_k (cot theta_k + i), sigma_k = theta_k + (theta_k cot theta_k - 1)
@@ -85,11 +83,6 @@ def _gil_pelaez_terms(w: np.ndarray, end: float):
     """(u_k, |phi(u_k)| / (k + 1/2), arg phi(u_k)) for the terms Davies' sum needs,
     or None if that is more than _GP_TERMS."""
     u = (np.arange(_GP_TERMS) + 0.5) * (np.pi / end)
-    # |phi| falls as u grows, and each weight adds at most 1/2 to the slope of -log|phi|
-    # in log u, so every slope is at most w.size / 2: if |phi| at the last node exceeds
-    # twice pi _GP_TAIL w.size / 2 (a margin for rounding), no term can meet the stop rule
-    if np.exp(_log_phi(w, -1j * u[-1:]).real[0]) > np.pi * _GP_TAIL * w.size:
-        return None
     log_phi = _log_phi(w, -1j * u)
     slope = -np.diff(log_phi.real) / np.diff(np.log(u))
     done = np.flatnonzero(np.exp(log_phi.real[1:]) <= np.pi * _GP_TAIL * slope)

@@ -448,14 +448,14 @@ class TestDeterminism:
         assert read_all(out) == first
 
 
-def run_module(args, cwd, code=None, python_args=(), **env_overrides):
+def run_module(args, cwd, code=None, **env_overrides):
     # The child runs in cwd, so a relative PYTHONPATH entry would resolve there;
     # put the directory that holds the package first, as an absolute path.
     pkg_root = str(Path(ojaboot.__file__).resolve().parent.parent)
     env = {**os.environ, **env_overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     entry = ["-m", "ojaboot.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *python_args, *entry, *args],
+    return subprocess.run([sys.executable, *entry, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
@@ -497,41 +497,3 @@ def test_module_entry_point(config_path, tmp_path):
     proc = run_module(["verify", "--config", str(config_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "vbar_closed_form: pass" in proc.stdout
-
-
-class TestModuleExit:
-    """`python -m ojaboot.cli` leaves through os._exit, without interpreter teardown:
-    stdout and stderr must still be flushed and the exit code be main's. An empty
-    PYTHONUNBUFFERED leaves the piped stdout block-buffered, as it is by default."""
-
-    def test_verify_prints_every_check(self, config_path, tmp_path):
-        proc = run_module(["verify", "--config", str(config_path)], tmp_path,
-                          PYTHONUNBUFFERED="")
-        assert proc.returncode == 0, proc.stderr
-        names = [c["name"] for c in json.loads(
-            (tmp_path / "out" / "verify_report.json").read_text())["checks"]]
-        assert len(names) == 7
-        assert proc.stdout.splitlines() == [f"{name}: pass" for name in names]
-
-    def test_failed_check_exits_one(self, tmp_path):
-        (tmp_path / "config.json").write_text(json.dumps({"scale": 2.0}))
-        proc = run_module(["verify", "--config", "config.json", "--seed", "8"], tmp_path,
-                          PYTHONUNBUFFERED="")
-        assert proc.returncode == 1, proc.stderr
-        assert "covariance_rate: FAIL" in proc.stdout.splitlines()
-
-    def test_config_error_exits_two(self, tmp_path):
-        (tmp_path / "config.json").write_text(json.dumps({"n": 1}))
-        proc = run_module(["verify", "--config", "config.json"], tmp_path, PYTHONUNBUFFERED="")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("config error: ")
-
-    def test_profiled_run_writes_its_profile(self, config_path, tmp_path):
-        # a profiler writes its file at teardown, so under one the exit is the normal one
-        profile = tmp_path / "verify.prof"
-        proc = run_module(["verify", "--config", str(config_path)], tmp_path,
-                          python_args=["-m", "cProfile", "-o", str(profile)])
-        assert proc.returncode == 0, proc.stderr
-        assert profile.stat().st_size > 0

@@ -9,7 +9,7 @@ import pytest
 from ojaboot import randgen
 
 
-class TestDeriveStream:
+class TestRngStream:
     def test_same_seed_and_path_bit_identical(self):
         a = randgen.RngStream(1234, ("trial", 3))
         b = randgen.RngStream(1234, ("trial", 3))

@@ -342,63 +342,6 @@ class TestLogPhi:
                                    rtol=0, atol=1e-10)
 
 
-def full_gil_pelaez_terms(w, end):
-    """Davies' terms from all _GP_TERMS nodes, with no early return: the oracle for
-    `reference._gil_pelaez_terms`."""
-    u = (np.arange(reference._GP_TERMS) + 0.5) * (np.pi / end)
-    log_phi = reference._log_phi(w, -1j * u)
-    slope = -np.diff(log_phi.real) / np.diff(np.log(u))
-    done = np.flatnonzero(np.exp(log_phi.real[1:]) <= np.pi * reference._GP_TAIL * slope)
-    if done.size == 0:
-        return None
-    k = done[0] + 2
-    return u[:k], np.exp(log_phi.real[:k]) / (np.arange(k) + 0.5), log_phi.imag[:k]
-
-
-def default_kernel_law(**overrides):
-    """The reference law of the default config (n = 5000, d = 100, c = 0.01, beta = 1,
-    scale = 5), with any of c and beta overridden."""
-    p = {"c": 0.01, "beta": 1.0, **overrides}
-    vbar = reference.build_reference(kernel_model(100, p["c"], p["beta"], scale=5.0),
-                                     float(np.log(5000)), 5000)
-    return reference.chisq_weights(vbar).weights
-
-
-class TestDaviesTerms:
-    @pytest.mark.parametrize("weights, skipped", [
-        (default_kernel_law, True),
-        (lambda: [1.0], True),
-        (lambda: [1.0, 1.0], True),
-        (lambda: [1.0] * 99, False),
-        (lambda: 0.5 ** np.arange(30), True),
-        (lambda: 0.9 ** np.arange(60), False),
-        (lambda: [1.0] + [1e-3] * 99, True),
-        (lambda: default_kernel_law(c=3.0, beta=0.05), False),
-    ], ids=["default-kernel", "one", "two", "99-equal", "geometric-0.5", "geometric-0.9",
-            "dominant-and-bulk", "c3-beta0.05"])
-    def test_early_return_matches_the_full_evaluation(self, weights, skipped, monkeypatch):
-        # the last node alone rules Davies' sum out where `skipped`; either way the
-        # terms, or None, are those of evaluating every node
-        law = chisq_law(weights())
-        _, w, end, _ = law._inversion
-        full = full_gil_pelaez_terms(w, end)
-        nodes, log_phi = [], reference._log_phi
-        monkeypatch.setattr(reference, "_log_phi",
-                            lambda w, s: nodes.append(s.size) or log_phi(w, s))
-        terms = reference._gil_pelaez_terms(w, end)
-        assert nodes == ([1] if skipped else [1, reference._GP_TERMS])
-        if full is None:
-            assert terms is None
-        else:
-            for got, want in zip(terms, full, strict=True):
-                np.testing.assert_array_equal(got, want)
-        assert (terms is None) == skipped
-
-    def test_the_126_term_law_sums_126_terms(self):
-        law = chisq_law(default_kernel_law(c=3.0, beta=0.05))
-        assert law._inversion[3][0].size == 126
-
-
 class TestChisqCdf:
     x = np.linspace(0.0, 30.0, 301)[1:]
 
