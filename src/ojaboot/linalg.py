@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecomposition, a decomposition's PSD root, norms.
+"""Dense symmetric linear algebra: eigendecomposition, the PSD root of an eigensystem, norms.
 
 Everything downstream (covariance models, the reference distribution, the
 bootstrap covariance) takes its spectra from `eigh` here, the package's one
@@ -8,12 +8,11 @@ come back sorted descending, and eigenvector signs follow a fixed convention
 (the entry of largest absolute value is nonnegative, ties broken by lowest
 index). A decomposition is therefore a pure function of the input for a fixed
 LAPACK build and BLAS thread count; the thread count can move the last digits
-of large problems.
+of large problems. It is the plain pair (eigenvalues, eigenvectors), as
+numpy.linalg.eigh returns it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +41,6 @@ def check_vector(x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending; eigenvectors[:, k] is the k-th unit eigenvector."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
 def _fix_signs(q: np.ndarray) -> np.ndarray:
     # Largest-|entry| component of each column made nonnegative; argmax takes
     # the lowest index on ties, which is the tie rule we promise.
@@ -64,15 +51,16 @@ def _fix_signs(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def eigh(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
+def eigh(a) -> tuple:
+    """(eigenvalues, eigenvectors) of a symmetric matrix by LAPACK (numpy.linalg.eigh):
+    eigenvalues sorted descending, eigenvectors[:, k] the k-th unit eigenvector.
 
     The ascending LAPACK order is reversed by a stable sort, so equal
     eigenvalues keep LAPACK's relative order, and the signs are then fixed.
     """
     vals, q = np.linalg.eigh(sym(a))
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(eigenvalues=vals[order], eigenvectors=_fix_signs(q[:, order]))
+    return vals[order], _fix_signs(q[:, order])
 
 
 def frobenius_norm(a) -> float:
@@ -82,14 +70,14 @@ def frobenius_norm(a) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(a, -k)), k))
 
 
-def sqrt_psd(dec: EigenDecomposition) -> np.ndarray:
-    """Symmetric PSD square root S of the matrix A that `dec` decomposes, S @ S ~ A.
+def sqrt_psd(vals: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root S of A = q diag(vals) q^T, S @ S ~ A, from the pair
+    that `eigh(A)` returns.
 
     Eigenvalues are allowed to dip to -1e-10 times the operator norm (roundoff
     from covariance assembly) and are clamped to zero; anything lower raises
     NotPsdError.
     """
-    vals, q = dec.eigenvalues, dec.eigenvectors
     opn = float(np.max(np.abs(vals))) if vals.size else 0.0
     if np.min(vals) < -1e-10 * opn:
         raise NotPsdError(

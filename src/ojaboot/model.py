@@ -1,13 +1,15 @@
 """Covariance models and their streaming samplers.
 
-Two covariance families are supported: the exponential-kernel family with
-power-decay scales (sigma_ij = exp(-|i-j| c) * s_i s_j, s_i = scale * i^-beta
-with 1-based i), and finite discrete laws given by mean-zero support points with
-probabilities. Discrete laws exist so that expectations can be computed exactly
-by outcome enumeration; they are enumerated, never sampled.
-
-Continuous samples are X = Sigma^{1/2} Z with Z having iid Uniform(-sqrt 3,
-sqrt 3) coordinates (mean zero, identity second moment), so E[X X^T] = Sigma.
+A `SpectralModel` is the eigensystem of one covariance Sigma (`spectral_decompose`),
+and its samples are X = Sigma^{1/2} Z with Z having iid Uniform(-sqrt 3, sqrt 3)
+coordinates (mean zero, identity second moment, `randgen.to_symmetric`), so
+E[X X^T] = Sigma: the one law that `sample_x` and `sample_paths` draw and that
+`reference.estimate_M` describes. The experiments' covariance is the
+exponential-kernel family with power-decay scales (`KernelSpec`: sigma_ij =
+exp(-|i-j| c) * s_i s_j, s_i = scale * i^-beta with 1-based i). Finite discrete
+laws, mean-zero support points with probabilities (`DiscreteSpec`), exist so that
+expectations can be computed exactly by outcome enumeration; they are enumerated,
+never sampled.
 """
 
 from __future__ import annotations
@@ -81,30 +83,37 @@ class DiscreteSpec:
         return linalg.sym((self.support.T * self.probs) @ self.support)
 
 
-CovarianceSpec = KernelSpec | DiscreteSpec
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
-    """Covariance with its spectral data and the sampling law that produced it."""
+    """A symmetric covariance with its PSD root and its eigensystem: the eigenvalues
+    descending, v1 the top unit eigenvector and v_perp the others."""
 
     sigma: np.ndarray
     sqrt_sigma: np.ndarray
-    eig: linalg.EigenDecomposition
+    eigenvalues: np.ndarray
     v1: np.ndarray
     v_perp: np.ndarray  # (d, d-1), orthonormal, orthogonal to v1
-    lambda1: float
-    lambda2: float
-    sampling_law: CovarianceSpec
-    degenerate_gap: bool
 
     @property
     def dim(self) -> int:
         return self.sigma.shape[0]
 
     @property
+    def lambda1(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def lambda2(self) -> float:
+        return float(self.eigenvalues[1]) if self.dim > 1 else 0.0
+
+    @property
     def eigengap(self) -> float:
         return self.lambda1 - self.lambda2
+
+    @property
+    def degenerate_gap(self) -> bool:
+        """A soft flag: the gap is at most DEGENERATE_GAP_RTOL * |lambda1|."""
+        return self.dim > 1 and self.eigengap <= DEGENERATE_GAP_RTOL * abs(self.lambda1)
 
     def require_gap(self):
         if self.degenerate_gap:
@@ -114,31 +123,16 @@ class SpectralModel:
             )
 
 
-def spectral_decompose(spec: CovarianceSpec) -> SpectralModel:
-    """Eigensystem of the described covariance; a degenerate eigengap is a soft flag."""
-    sigma = spec.sigma
-    eig = linalg.eigh(sigma)
-    sqrt_sigma = linalg.sqrt_psd(eig)
-    lambda1 = float(eig.eigenvalues[0])
-    lambda2 = float(eig.eigenvalues[1]) if eig.dim > 1 else 0.0
-    degenerate = eig.dim > 1 and (lambda1 - lambda2) <= DEGENERATE_GAP_RTOL * abs(lambda1)
-    return SpectralModel(
-        sigma=sigma,
-        sqrt_sigma=sqrt_sigma,
-        eig=eig,
-        v1=eig.eigenvectors[:, 0].copy(),
-        v_perp=eig.eigenvectors[:, 1:].copy(),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        sampling_law=spec,
-        degenerate_gap=degenerate,
-    )
+def spectral_decompose(sigma) -> SpectralModel:
+    """The model of the covariance sigma, stored as linalg.sym(sigma)."""
+    sigma = linalg.sym(sigma)
+    vals, q = linalg.eigh(sigma)
+    return SpectralModel(sigma=sigma, sqrt_sigma=linalg.sqrt_psd(vals, q), eigenvalues=vals,
+                         v1=q[:, 0].copy(), v_perp=q[:, 1:].copy())
 
 
 def sample_x(model: SpectralModel, stream: RngStream, size: int) -> np.ndarray:
-    """Draw a (size, d) matrix of rows from the model's continuous law."""
-    if isinstance(model.sampling_law, DiscreteSpec):
-        raise ValueError("sample_x draws continuous laws; a discrete one is enumerated")
+    """Draw a (size, d) matrix of rows X = Z @ Sigma^{1/2}, Z = stream.uniform_sym((size, d))."""
     return stream.uniform_sym((size, model.dim)) @ model.sqrt_sigma
 
 
@@ -149,8 +143,6 @@ def sample_paths(model: SpectralModel, streams, out: np.ndarray):
     streams[i].uniform_sym((T, d)), and Z[i] @ Sigma^{1/2} is what
     sample_x(model, streams[i], T) returns, up to the rounding of that product.
     `oja.advance` forms the product one step at a time."""
-    if isinstance(model.sampling_law, DiscreteSpec):
-        raise ValueError("sample_paths draws continuous laws; a discrete one is enumerated")
     # the rows share their strides, so out[:1] is contiguous exactly when each row is
     if (out.ndim != 3 or out.shape[0] != len(streams) or out.shape[2] != model.dim
             or not out[:1].flags.c_contiguous):

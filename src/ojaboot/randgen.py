@@ -7,8 +7,9 @@ keyed hash, so the draw sequence of any consumer is a pure function of its
 path and never depends on thread scheduling or evaluation order.
 
 Streams are backed by Philox (counter-based) generators keyed through
-numpy.random.SeedSequence. A stream is single-consumer: derive one per
-logical actor rather than sharing. `chisq1` draws arrays only, of a given shape.
+numpy.random.SeedSequence. A stream is single-consumer: build one
+`RngStream(master_seed, path)` per consumer rather than sharing one. `chisq1`
+draws arrays only, of a given shape.
 """
 
 from __future__ import annotations

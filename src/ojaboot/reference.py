@@ -5,9 +5,9 @@ so its law is a weighted sum of independent chi-square(1) variables. The
 weights are the eigenvalues of a covariance matrix assembled from two
 ingredients: a fourth-moment matrix of the data law expressed in the
 complement of the top eigenvector, and the geometric decay ratios of the
-deflated one-step update. The moment matrix is exact: a sum over the
-support for a discrete law, and a closed form in the eigenbasis and the
-fourth moment of the sampling law for a continuous one. The covariance is a
+deflated one-step update. The moment matrix is exact: a closed form in the
+eigenbasis and the fourth moment 9/5 of the model's sampling coordinates,
+X = Sigma^{1/2} Z with iid Z (`model`). The covariance is a
 plain d x d array (`build_reference`), and its spectrum is the weight vector
 of a `WeightedChiSq`.
 
@@ -206,21 +206,15 @@ def estimate_M(mdl: model.SpectralModel) -> np.ndarray:
     """Fourth-moment matrix of the law projected onto the complement frame.
 
     Computes E[(x . v1)^2 (P x)(P x)^T] exactly, where P maps to the
-    complement coordinates. Discrete laws are summed over their support.
-    Continuous laws draw x = Sigma^{1/2} z with iid z coordinates of unit
-    variance and fourth moment kappa, so the eigenbasis coordinates are
-    y_j = sqrt(lam_j) (q_j . z), and the identity
+    complement coordinates. The model draws x = Sigma^{1/2} z with iid z
+    coordinates of unit variance and fourth moment kappa, so the eigenbasis
+    coordinates are y_j = sqrt(lam_j) (q_j . z), and the identity
     E[(a.z)^2 (b.z)(c.z)] = |a|^2 (b.c) + 2 (a.b)(a.c) + (kappa - 3) sum_k a_k^2 b_k c_k
     gives M = lam_1 L^{1/2} [I + (kappa - 3) Q_perp^T diag(v1 * v1) Q_perp] L^{1/2},
     L = diag(lam_2, ..., lam_d). The product runs in einsum's own loops, not
     BLAS, whose threaded product rounds differently with the thread count.
     """
-    law = mdl.sampling_law
-    if isinstance(law, model.DiscreteSpec):
-        s = law.support @ mdl.v1
-        y = law.support @ mdl.v_perp
-        return linalg.sym((y * (law.probs * s * s)[:, None]).T @ y)
-    lam = np.clip(mdl.eig.eigenvalues, 0.0, None)
+    lam = np.clip(mdl.eigenvalues, 0.0, None)
     cross = np.einsum("ki,kj->ij", mdl.v_perp * np.square(mdl.v1)[:, None], mdl.v_perp)
     inner = np.eye(mdl.dim - 1) + (randgen.KAPPA - 3.0) * cross
     root = np.sqrt(lam[1:])
@@ -233,7 +227,7 @@ def contraction_ratios(mdl: model.SpectralModel, eta_n: float, n: int) -> np.nda
     Entry i is (1 + eta_n*lam_{i+1}/n) / (1 + eta_n*lam_1/n), always in (0, 1].
     """
     a = eta_n / n
-    lam = mdl.eig.eigenvalues
+    lam = mdl.eigenvalues
     top = 1.0 + a * lam[0]
     if top <= 0.0:
         raise ValueError("top eigenvalue factor must stay positive")
@@ -278,7 +272,7 @@ def build_reference(mdl: model.SpectralModel, eta_n: float, n: int) -> np.ndarra
 
 def chisq_weights(vbar) -> WeightedChiSq:
     """Spectrum of the covariance, clamped at zero, as chi-square weights."""
-    return WeightedChiSq(linalg.eigh(vbar).eigenvalues)
+    return WeightedChiSq(linalg.eigh(vbar)[0])
 
 
 def window_bound(h: float) -> float:

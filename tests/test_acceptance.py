@@ -38,7 +38,7 @@ def _instances():
         n, d, rule = combos[k % len(combos)]
         eta = 1.0 if rule == "one" else float(np.log(n))
         mdl = model.spectral_decompose(
-            model.KernelSpec(d=d, c=0.3, beta=0.5, scale=1.2))
+            model.KernelSpec(d=d, c=0.3, beta=0.5, scale=1.2).sigma)
         data = model.sample_x(mdl, randgen.RngStream(SEED, ("acc", k)), n)
         yield k, n, d, eta, mdl, data
 
@@ -140,7 +140,7 @@ def test_criterion_06_bootstrap_consistency(figure_runs):
 
 
 def test_criterion_07_covariance_rate():
-    mdl = model.spectral_decompose(model.KernelSpec(d=20, c=0.01, beta=1.0, scale=5.0))
+    mdl = model.spectral_decompose(model.KernelSpec(d=20, c=0.01, beta=1.0, scale=5.0).sigma)
     medians = {}
     for n in (1000, 4000):
         eta = float(np.log(n))
@@ -166,7 +166,7 @@ def test_criterion_08_anticoncentration(clt_run):
 
 
 def test_criterion_09_vbar_closed_form():
-    mdl = model.spectral_decompose(model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5))
+    mdl = model.spectral_decompose(model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5).sigma)
     n, eta = 1000, float(np.log(1000))
     raw = randgen.RngStream(SEED, ("acc", "vbar")).normal(0.0, 1.0, (9, 9))
     m = raw @ raw.T

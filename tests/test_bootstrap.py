@@ -1,17 +1,10 @@
 """Multiplier-bootstrap replicate semantics (the multiplier update of oja.advance and
 the multiplier draws) and the closed-form covariance."""
 
-import types
-
 import numpy as np
 import pytest
 
 from ojaboot import bootstrap, hoeffding, linalg, model, oja, randgen
-
-
-def explicit_law(sigma):
-    """A law given only by its covariance, symmetrized as the package's specs are."""
-    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def scalar_update(v, x_t, prev_x, eta, w):
@@ -42,7 +35,7 @@ def plain_pass(data, eta, u0):
 def small_model(d=4, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, d))
-    return model.spectral_decompose(explicit_law(raw @ raw.T + np.diag([3.0] + [0.5] * (d - 1))))
+    return model.spectral_decompose(raw @ raw.T + np.diag([3.0] + [0.5] * (d - 1)))
 
 
 class TestEnsembleInit:
@@ -266,7 +259,7 @@ class TestBootstrapCovariance:
         data = np.array([[1.0, 0.4], [-0.3, 1.1]])
         eta_n = 0.9
         a = eta_n / 2
-        lam, q = m.eig.eigenvalues, m.eig.eigenvectors
+        lam, q = linalg.eigh(m.sigma)
         d1 = ((1 + a * lam[1]) / (1 + a * lam[0])) * np.outer(q[:, 1], q[:, 1])
         delta = np.outer(data[1], data[1]) - np.outer(data[0], data[0])
         u = d1 @ delta @ m.v1
@@ -281,7 +274,7 @@ class TestBootstrapCovariance:
         data = rng.standard_normal((n, d))
         eta_n = np.log(n)
         a = eta_n / n
-        lam, q = m.eig.eigenvalues, m.eig.eigenvectors
+        lam, q = linalg.eigh(m.sigma)
         rows = []
         for i in range(2, n + 1):
             dmat = sum(((1 + a * lam[j]) / (1 + a * lam[0])) ** (i - 1) * np.outer(q[:, j], q[:, j])
@@ -307,6 +300,6 @@ class TestBootstrapCovariance:
         assert np.linalg.norm(cov @ m.v1) <= 1e-10
 
     def test_degenerate_gap_rejected(self):
-        m = model.spectral_decompose(explicit_law(np.eye(3)))
+        m = model.spectral_decompose(np.eye(3))
         with pytest.raises(model.DegenerateGapError):
             bootstrap.bootstrap_covariance(np.ones((5, 3)), m, 1.0)

@@ -181,12 +181,15 @@ class TestExitCodes:
         # n / eta_n, the scale of sampling's scaled errors, overflows
         (["sampling"], 1e-320), (["compare", "--threads", "1"], 1e-320),
         (["compare", "--threads", "2"], 1e-320),
+        # no rate: at the default one the scales s_i = 5 i^400 take the pass past the range
+        (["sampling"], None),
     ], ids=["sampling", "bootstrap", "compare-forked", "sampling-tiny-rate",
-            "compare-tiny-rate", "compare-forked-tiny-rate"])
+            "compare-tiny-rate", "compare-forked-tiny-rate", "sampling-negative-beta"])
     def test_pass_beyond_the_finite_range_is_config_error(self, config_path, capsys,
                                                           monkeypatch, args, rate):
         raw = json.loads(config_path.read_text())
-        raw.update(n=50, eta_rule={"fixed": rate})
+        raw.update({"n": 5, "d": 2, "trials": 1, "beta": -400} if rate is None
+                   else {"n": 50, "eta_rule": {"fixed": rate}})
         config_path.write_text(json.dumps(raw))
         if args[0] == "compare" and rate > 1:
             # sampling runs in this process at a sane rate, so the error is raised in
@@ -197,6 +200,7 @@ class TestExitCodes:
         assert cli.main([*args, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "finite range" in err
+        assert rate is not None or "beta = -400" in err
 
     def test_success_is_zero(self, config_path):
         assert cli.main(["sampling", "--config", str(config_path)]) == 0

@@ -7,18 +7,12 @@ sums over enumerated outcomes.
 
 import functools
 import itertools
-import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ojaboot import hoeffding, linalg, model, randgen, reference
-
-
-def explicit_law(sigma):
-    """A law given only by its covariance, symmetrized as the package's specs are."""
-    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def three_point_law():
@@ -261,7 +255,7 @@ class TestExactAgainstFractions:
     @pytest.mark.parametrize("n, d", [(1, 2), (3, 3), (5, 2), (6, 3)])
     @pytest.mark.parametrize("kind", ["plain", "bootstrap"])
     def test_integer_evaluation_equals_the_fraction_oracle(self, kind, n, d, scale):
-        mdl = model.spectral_decompose(model.KernelSpec(d=d, c=0.01, beta=1.0, scale=scale))
+        mdl = model.spectral_decompose(model.KernelSpec(d=d, c=0.01, beta=1.0, scale=scale).sigma)
         stream = randgen.RngStream(11, ("exact", kind, n, d))
         data = model.sample_x(mdl, stream, n)
         args = ({"sigma": mdl.sigma} if kind == "plain"
@@ -407,7 +401,7 @@ class TestHajekTermV1:
         # +/- x law: X X^T == Sigma on every support point
         sup = np.array([[1.0, 0.4], [-1.0, -0.4]])
         spec = model.DiscreteSpec(support=sup, probs=np.array([0.5, 0.5]))
-        m = model.spectral_decompose(spec)
+        m = model.spectral_decompose(spec.sigma)
         data = sup[np.array([0, 1, 1, 0])]
         got = hajek_term_v1(data, m, eta_n=1.0)
         np.testing.assert_allclose(got, np.zeros(2), atol=1e-15)
@@ -417,7 +411,7 @@ class TestHajekTermV1:
         rng = np.random.default_rng(seed)
         n, d = 3, 2
         raw = rng.standard_normal((d, d))
-        m = model.spectral_decompose(explicit_law(raw @ raw.T + np.diag([2.0, 0.5])))
+        m = model.spectral_decompose(raw @ raw.T + np.diag([2.0, 0.5]))
         data = rng.standard_normal((n, d))
         eta_n = 1.1
         a = eta_n / n
@@ -429,12 +423,12 @@ class TestHajekTermV1:
 
     def test_orthogonal_to_v1(self):
         rng = np.random.default_rng(5)
-        m = model.spectral_decompose(model.KernelSpec(d=6, c=0.01, beta=1.0, scale=5.0))
+        m = model.spectral_decompose(model.KernelSpec(d=6, c=0.01, beta=1.0, scale=5.0).sigma)
         data = rng.standard_normal((8, 6))
         got = hajek_term_v1(data, m, eta_n=2.0)
         assert abs(got @ m.v1) <= 1e-12
 
     def test_degenerate_gap_rejected(self):
-        m = model.spectral_decompose(explicit_law(np.eye(3)))
+        m = model.spectral_decompose(np.eye(3))
         with pytest.raises(model.DegenerateGapError):
             hajek_term_v1(np.ones((2, 3)), m, eta_n=1.0)

@@ -1,17 +1,11 @@
-"""Covariance construction, spectral data, sampling laws, and enumeration."""
+"""Covariance construction, spectral data, sampling, and enumeration."""
 
 import math
-import types
 
 import numpy as np
 import pytest
 
 from ojaboot import linalg, model, randgen
-
-
-def explicit_law(sigma):
-    """A law given only by its covariance, symmetrized as the package's specs are."""
-    return types.SimpleNamespace(sigma=linalg.sym(sigma))
 
 
 def rademacher_e1(d=2):
@@ -37,14 +31,14 @@ class TestKernelCovariance:
     def test_flat_kernel_is_rank_one(self):
         sigma = model.KernelSpec(4, 0.0, 0.0, 5.0).sigma
         np.testing.assert_allclose(sigma, 25.0 * np.ones((4, 4)))
-        vals = linalg.eigh(sigma).eigenvalues
+        vals = linalg.eigh(sigma)[0]
         assert vals[0] == pytest.approx(100.0)
         np.testing.assert_allclose(vals[1:], 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("d,beta", [(10, 1.0), (30, 0.2)])
     def test_psd(self, d, beta):
         sigma = model.KernelSpec(d, 0.01, beta, 5.0).sigma
-        vals = linalg.eigh(sigma).eigenvalues
+        vals = linalg.eigh(sigma)[0]
         assert np.min(vals) >= -1e-10 * vals[0]
 
     def test_validation(self):
@@ -58,7 +52,7 @@ class TestKernelCovariance:
 
 class TestSpectralDecompose:
     def test_diagonal(self):
-        m = model.spectral_decompose(explicit_law(np.diag([3.0, 1.0])))
+        m = model.spectral_decompose(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(m.v1, [1.0, 0.0])
         assert m.lambda1 == pytest.approx(3.0)
         assert m.lambda2 == pytest.approx(1.0)
@@ -66,16 +60,27 @@ class TestSpectralDecompose:
         assert not m.degenerate_gap
         m.require_gap()  # no raise
 
+    def test_stores_the_symmetrized_covariance(self):
+        # one entry a ulp off its mirror: asymmetric by roundoff, as a covariance
+        # assembled by a matrix product can be
+        a = model.KernelSpec(d=6, c=0.01, beta=1.0, scale=5.0).sigma
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        m = model.spectral_decompose(a)
+        np.testing.assert_array_equal(m.sigma, m.sigma.T)
+        np.testing.assert_array_equal(m.sigma, linalg.sym(a))
+        assert not np.array_equal(m.sigma, a)
+
     def test_identity_flags_degenerate_gap(self):
-        m = model.spectral_decompose(explicit_law(np.eye(3)))
+        m = model.spectral_decompose(np.eye(3))
         assert m.degenerate_gap
         with pytest.raises(model.DegenerateGapError):
             m.require_gap()
 
     def test_kernel_reconstruction(self):
         spec = model.KernelSpec(d=10, c=0.01, beta=1.0, scale=5.0)
-        m = model.spectral_decompose(spec)
-        recon = m.eig.eigenvectors @ np.diag(m.eig.eigenvalues) @ m.eig.eigenvectors.T
+        m = model.spectral_decompose(spec.sigma)
+        q = np.column_stack([m.v1, m.v_perp])
+        recon = q @ np.diag(m.eigenvalues) @ q.T
         assert np.linalg.norm(recon - m.sigma) <= 1e-10 * np.linalg.norm(m.sigma)
         # v_perp orthonormal and orthogonal to v1
         blk = np.hstack([m.v1[:, None], m.v_perp])
@@ -83,13 +88,13 @@ class TestSpectralDecompose:
 
     def test_sqrt_sigma_squares_back(self):
         spec = model.KernelSpec(d=8, c=0.01, beta=0.2, scale=5.0)
-        m = model.spectral_decompose(spec)
+        m = model.spectral_decompose(spec.sigma)
         assert np.linalg.norm(m.sqrt_sigma @ m.sqrt_sigma - m.sigma) <= 1e-8 * np.linalg.norm(m.sigma)
 
 
 class TestSampleX:
     def test_identity_coordinates_uniform(self):
-        m = model.spectral_decompose(explicit_law(np.eye(4)))
+        m = model.spectral_decompose(np.eye(4))
         s = randgen.RngStream(1, ("sx",))
         xs = model.sample_x(m, s, size=20000)
         assert np.all(np.abs(xs) < math.sqrt(3.0) + 1e-12)
@@ -97,7 +102,7 @@ class TestSampleX:
 
     def test_second_moment_matches_sigma(self):
         spec = model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0)
-        m = model.spectral_decompose(spec)
+        m = model.spectral_decompose(spec.sigma)
         s = randgen.RngStream(2, ("sx2",))
         xs = model.sample_x(m, s, size=2 * 10**5)
         emp = xs.T @ xs / xs.shape[0]
@@ -107,17 +112,10 @@ class TestSampleX:
         se = prods.std(axis=0) / math.sqrt(xs.shape[0])
         assert np.all(np.abs(emp - m.sigma) <= np.maximum(0.05, 5.0 * se))
 
-    def test_rejects_discrete_laws(self):
-        # a discrete law is enumerated, never sampled: no draw of the wrong law
-        m = model.spectral_decompose(rademacher_e1())
-        np.testing.assert_allclose(m.sigma, np.diag([1.0, 0.0]), atol=1e-15)
-        with pytest.raises(ValueError, match="discrete"):
-            model.sample_x(m, randgen.RngStream(3, ("disc",)), size=5000)
-
 
 class TestSamplePaths:
     def test_rows_are_sample_x_in_chunks(self):
-        m = model.spectral_decompose(model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0))
+        m = model.spectral_decompose(model.KernelSpec(d=5, c=0.01, beta=1.0, scale=5.0).sigma)
         streams = [randgen.RngStream(4, ("path", i)) for i in range(3)]
         out = np.empty((3, 7, 5))
         chunks = [model.sample_paths(m, streams, out) @ m.sqrt_sigma for _ in range(2)]
@@ -128,7 +126,7 @@ class TestSamplePaths:
     def test_draws_are_uniform_sym_bit_for_bit(self):
         # the whole buffer is mapped at once; each row must still hold its own
         # stream's uniform_sym values, chunk after chunk
-        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
+        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0).sigma)
         streams = [randgen.RngStream(6, ("path", i)) for i in range(3)]
         singles = [randgen.RngStream(6, ("path", i)) for i in range(3)]
         out = np.empty((3, 5, 4))
@@ -141,7 +139,7 @@ class TestSamplePaths:
         # a block of 3 streams in a buffer for 5, then a short last chunk of 2 steps:
         # each view's rows hold their streams' uniform_sym values, and the rest of the
         # buffer is left as it was
-        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0))
+        m = model.spectral_decompose(model.KernelSpec(d=4, c=0.01, beta=1.0, scale=5.0).sigma)
         streams = [randgen.RngStream(6, ("view", i)) for i in range(3)]
         singles = [randgen.RngStream(6, ("view", i)) for i in range(3)]
         buf = np.full((5, 6, 4), np.nan)
@@ -152,17 +150,14 @@ class TestSamplePaths:
                 np.testing.assert_array_equal(row, stream.uniform_sym((steps, 4)))
         assert np.isnan(buf[3:]).all() and not np.isnan(buf[:3]).any()
 
-    def test_rejects_unfit_buffers_and_discrete_laws(self):
+    def test_rejects_unfit_buffers(self):
         # the last two have rows that are not C-contiguous: strided, and Fortran-ordered
-        m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0))
+        m = model.spectral_decompose(model.KernelSpec(d=3, c=0.01, beta=1.0, scale=5.0).sigma)
         streams = [randgen.RngStream(4, ("bad", i)) for i in range(2)]
         for out in [np.empty((2, 4, 4)), np.empty((3, 4, 3)), np.empty((2, 12)),
                     np.empty((2, 8, 3))[:, ::2], np.empty((2, 3, 4)).transpose(0, 2, 1)]:
             with pytest.raises(ValueError):
                 model.sample_paths(m, streams, out)
-        disc = model.spectral_decompose(rademacher_e1())
-        with pytest.raises(ValueError):
-            model.sample_paths(disc, streams, np.empty((2, 4, 2)))
 
 
 class TestDiscreteSpecValidation:

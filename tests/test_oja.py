@@ -276,7 +276,7 @@ class TestErrorScaling:
     def test_mean_sin2_decreases_with_n(self):
         # quadrupling n should at least halve the mean error (rate eta_n / n)
         spec = model.KernelSpec(d=10, c=0.01, beta=1.0, scale=5.0)
-        m = model.spectral_decompose(spec)
+        m = model.spectral_decompose(spec.sigma)
         u0 = randgen.RngStream(21, ("u0",)).normal(0.0, 1.0, 10)
         means = {}
         for n in (500, 2000):

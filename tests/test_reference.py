@@ -1,11 +1,9 @@
 """Reference covariance assembly, chi-square weights, the exact chi-square CDF and
 its quantiles, and anti-concentration."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -13,13 +11,8 @@ import pytest
 from ojaboot import linalg, model, randgen, reference
 
 
-def explicit_law(sigma):
-    """A law given only by its covariance, symmetrized as the package's specs are."""
-    return types.SimpleNamespace(sigma=linalg.sym(sigma))
-
-
 def kernel_model(d, c, beta, scale=1.0):
-    return model.spectral_decompose(model.KernelSpec(d=d, c=c, beta=beta, scale=scale))
+    return model.spectral_decompose(model.KernelSpec(d=d, c=c, beta=beta, scale=scale).sigma)
 
 
 def imhof_cdf(weights, x, nodes=100_001, span=2000.0):
@@ -63,57 +56,60 @@ def monte_carlo_M(mdl, draw, n_mc, rows=10**4):
     return mean, np.sqrt(np.maximum(total_sq / n_mc - mean**2, 0.0) / n_mc)
 
 
-class TestEstimateM:
-    def test_two_point_law_orthogonal_support(self):
-        sup = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.array([0.5, 0.5])))
-        m = reference.estimate_M(mdl)
-        np.testing.assert_array_equal(m, [[0.0]])
+def support_sum_M(mdl, support, probs):
+    """E (x . v1)^2 (P x)(P x)^T for x drawn from the finite law support[k] w.p. probs[k],
+    summed exactly over the support, in the frame of mdl (v1, v_perp)."""
+    s = support @ mdl.v1
+    y = support @ mdl.v_perp
+    return linalg.sym((y * (probs * s * s)[:, None]).T @ y)
 
+
+class TestEstimateM:
     def test_product_moment_diag_law(self):
         # independent unit-variance coordinates: E[(x.v1)^2 (x.v2)^2] = lam1*lam2
-        mdl = model.spectral_decompose(explicit_law(np.diag([3.0, 1.2])))
+        mdl = model.spectral_decompose(np.diag([3.0, 1.2]))
         np.testing.assert_allclose(reference.estimate_M(mdl), [[3.6]], rtol=1e-15)
 
+    # the two discrete tests pin support_sum_M, the oracle of the (kappa - 3) test below
     def test_discrete_exact_value(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
-        mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        m = reference.estimate_M(mdl)
+        law = model.DiscreteSpec(sup, np.full(3, 1 / 3))
+        m = support_sum_M(model.spectral_decompose(law.sigma), law.support, law.probs)
         # law has Sigma = diag(0.72, 0.54); E[x1^2 x2^2] = (2/3)*0.36*0.81
         np.testing.assert_allclose(m, [[0.1944]], atol=1e-15)
 
     def test_discrete_matches_monte_carlo(self):
         sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
         law = model.DiscreteSpec(sup, np.full(3, 1 / 3))
-        mdl = model.spectral_decompose(law)
-        rng = np.random.default_rng(8)  # sample_x draws continuous laws only
+        mdl = model.spectral_decompose(law.sigma)
+        rng = np.random.default_rng(8)  # sample_x draws the model's uniform law only
         mean, se = monte_carlo_M(
             mdl, lambda size: law.support[rng.choice(3, size=size, p=law.probs)], 10**5)
-        assert np.all(np.abs(mean - reference.estimate_M(mdl)) <= 5 * np.maximum(se, 1e-12))
+        exact = support_sum_M(mdl, law.support, law.probs)
+        assert np.all(np.abs(mean - exact) <= 5 * np.maximum(se, 1e-12))
 
-    @pytest.mark.parametrize("spec", [
-        model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5),
-        explicit_law(np.array([[3.0, 0.8, 0.4], [0.8, 2.0, -0.5], [0.4, -0.5, 1.0]])),
+    @pytest.mark.parametrize("sigma", [
+        model.KernelSpec(d=10, c=0.3, beta=0.6, scale=1.5).sigma,
+        np.array([[3.0, 0.8, 0.4], [0.8, 2.0, -0.5], [0.4, -0.5, 1.0]]),
     ], ids=["kernel", "explicit"])
-    def test_closed_form_matches_monte_carlo(self, spec):
-        mdl = model.spectral_decompose(spec)
+    def test_closed_form_matches_monte_carlo(self, sigma):
+        mdl = model.spectral_decompose(sigma)
         stream = randgen.RngStream(9, ("m4",))
         mean, se = monte_carlo_M(mdl, lambda size: model.sample_x(mdl, stream, size), 10**5)
         closed = reference.estimate_M(mdl)
         assert np.all(np.abs(mean - closed) <= 5 * se)
         # the draws also resolve the (kappa - 3) term: the Gaussian-law moment
         # matrix lam1 * diag(lam_2, ..., lam_d) misses some entry by more than 5 SE
-        lam = mdl.eig.eigenvalues
+        lam = mdl.eigenvalues
         assert np.any(np.abs(mean - lam[0] * np.diag(lam[1:])) > 5 * se)
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     def test_closed_form_matches_rademacher_support_sum(self, d, monkeypatch):
-        # x = Sigma^{1/2} z with z uniform on {-1, 1}^d has kappa = E z^4 = 1; as a
-        # DiscreteSpec on the same eigenvectors, its exact support sum is the oracle
+        # x = Sigma^{1/2} z with z uniform on {-1, 1}^d has kappa = E z^4 = 1; its
+        # exact support sum on the same eigenvectors is the oracle
         mdl = kernel_model(d, 0.3, 1.0, scale=2.0)
         z = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
-        law = model.DiscreteSpec(z @ mdl.sqrt_sigma, np.full(2**d, 0.5**d))
-        exact = reference.estimate_M(dataclasses.replace(mdl, sampling_law=law))
+        exact = support_sum_M(mdl, z @ mdl.sqrt_sigma, np.full(2**d, 0.5**d))
 
         def rel_gap():
             return (linalg.frobenius_norm(reference.estimate_M(mdl) - exact)
@@ -135,7 +131,7 @@ class TestContractionRatios:
         mdl = kernel_model(5, 0.2, 0.5)
         eta_n, n = np.log(100), 100
         lp = reference.contraction_ratios(mdl, eta_n, n)
-        lam = mdl.eig.eigenvalues
+        lam = mdl.eigenvalues
         expected = (1 + eta_n * lam[1:] / n) / (1 + eta_n * lam[0] / n)
         np.testing.assert_allclose(lp, expected, rtol=1e-15)
         assert np.all(lp > 0) and np.all(lp <= 1) and np.all(np.diff(lp) <= 0)
@@ -190,18 +186,8 @@ class TestBuildReference:
         assert np.linalg.eigvalsh(vbar).min() >= -1e-12
         assert vbar.shape == (12, 12)
 
-    def test_discrete_law_ignores_stream(self):
-        # no stream to ignore any more: a discrete law's vbar is its support sum
-        # M = [[0.1944]] (TestEstimateM), assembled
-        sup = np.array([[1.2, 0.0], [-0.6, 0.9], [-0.6, -0.9]])
-        mdl = model.spectral_decompose(model.DiscreteSpec(sup, np.full(3, 1 / 3)))
-        vbar = reference.build_reference(mdl, 1.0, 10)
-        lp = reference.contraction_ratios(mdl, 1.0, 10)
-        np.testing.assert_allclose(
-            vbar, reference.assemble_vbar([[0.1944]], lp, 1.0, 10, mdl.v_perp), atol=1e-15)
-
     def test_degenerate_gap_rejected(self):
-        mdl = model.spectral_decompose(explicit_law(np.eye(3)))
+        mdl = model.spectral_decompose(np.eye(3))
         with pytest.raises(model.DegenerateGapError):
             reference.build_reference(mdl, 1.0, 10)
 
