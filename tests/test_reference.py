@@ -65,6 +65,15 @@ def support_sum_M(mdl, support, probs):
 
 
 class TestEstimateM:
+    def test_two_point_law_orthogonal_support(self):
+        # +/- e1 w.p. 1/2 has the rank-one covariance diag(1, 0): nothing reaches the
+        # complement, so M is exactly zero, in closed form as in the support sum
+        sup = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        law = model.DiscreteSpec(sup, np.array([0.5, 0.5]))
+        mdl = model.spectral_decompose(law.sigma)
+        np.testing.assert_array_equal(reference.estimate_M(mdl), [[0.0]])
+        np.testing.assert_array_equal(support_sum_M(mdl, law.support, law.probs), [[0.0]])
+
     def test_product_moment_diag_law(self):
         # independent unit-variance coordinates: E[(x.v1)^2 (x.v2)^2] = lam1*lam2
         mdl = model.spectral_decompose(np.diag([3.0, 1.2]))
